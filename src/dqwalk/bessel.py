@@ -15,13 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .exceptions import TruncationMismatchError
+from .exceptions import NumericalError, TruncationMismatchError
 
 EPS_TAIL_DEFAULT = 1e-14
 
 #: floor on the truncation order; all series are single-term at t = 0 but a
 #: small margin keeps index arithmetic uniform downstream
 N_MAX_FLOOR = 20
+
+#: cap on the 25% growth steps of :func:`truncation_order` (a factor of
+#: about 7500 over the heuristic start); the direct tail sum falls below any
+#: positive ``eps_tail`` long before, so reaching it means a non-finite tail
+MAX_GROWTH_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -102,12 +107,29 @@ def bessel_i_scaled_orders(orders: np.ndarray, x: float) -> np.ndarray:
 def scaled_i_tail(n_max: int, x: float) -> float:
     """Neglected mass ``sum_{|n| > n_max} e^{-x} I_n(x)``.
 
-    Uses the exact normalization ``sum_{n=-inf}^{inf} e^{-x} I_n(x) = 1``;
-    the result may round to a small negative number, which callers treat
-    as zero tail.
+    The neglected terms are summed directly, in blocks of growing length,
+    so the result keeps its relative accuracy down to underflow; the
+    complement ``1 - (retained mass)`` would stop near 1e-16.  The terms
+    decrease in n and so does their ratio ``I_{n+1}/I_n`` (Turan's
+    inequality), so past a block ending in term t with ratio r the rest is
+    at most ``t r / (1 - r)``; summing stops once that is below roundoff.
     """
-    row = bessel_i_scaled_row(n_max, x)
-    return 1.0 - (row[0] + 2.0 * row[1:].sum())
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"x must be finite and >= 0, got {x}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    total = 0.0
+    lo, size = n_max + 1, 64
+    while True:
+        block = special.ive(np.arange(lo, lo + size), x)
+        total += block.sum()
+        last = block[-1]
+        if last == 0.0:
+            return 2.0 * total
+        ratio = last / block[-2]
+        if ratio < 1.0 and last * ratio / (1.0 - ratio) <= 1e-17 * total:
+            return 2.0 * total
+        lo, size = lo + size, 2 * size
 
 
 def truncation_order(
@@ -117,9 +139,11 @@ def truncation_order(
 
     Starts from the heuristic
     ``n_max = ceil(max(x + 10*sqrt(x), tprime + 10*tprime^{1/3}) + 20)``
-    and then grows until the explicitly summed scaled-I tail is below
-    ``eps_tail``.  The heuristic margin also pushes past the turning point
-    of J_m(tprime), so |J_m(tprime)| < eps_tail for |m| > n_max + ceil(tprime).
+    and then grows by 25% until the explicitly summed scaled-I tail is below
+    ``eps_tail``, raising :class:`NumericalError` if it is not after
+    ``MAX_GROWTH_STEPS`` steps.  The heuristic margin also pushes past the
+    turning point of J_m(tprime), so |J_m(tprime)| < eps_tail for
+    |m| > n_max + ceil(tprime).
     """
     for name, v in (("tprime", tprime), ("x", x), ("eps_tail", eps_tail)):
         if not math.isfinite(v):
@@ -132,9 +156,14 @@ def truncation_order(
     n_max = math.ceil(
         max(x + 10.0 * math.sqrt(x), tprime + 10.0 * tprime ** (1.0 / 3.0)) + N_MAX_FLOOR
     )
-    while scaled_i_tail(n_max, x) >= eps_tail:
+    for _ in range(MAX_GROWTH_STEPS):
+        if scaled_i_tail(n_max, x) < eps_tail:
+            return SeriesTruncation(n_max=n_max, eps_tail=eps_tail, tprime=tprime, x=x)
         n_max = int(n_max * 1.25) + 5
-    return SeriesTruncation(n_max=n_max, eps_tail=eps_tail, tprime=tprime, x=x)
+    raise NumericalError(
+        f"scaled-I tail still >= {eps_tail:.3e} at n_max = {n_max} "
+        f"after {MAX_GROWTH_STEPS} growth steps (x = {x})"
+    )
 
 
 def check_truncation(trunc: SeriesTruncation, tprime: float, x: float) -> None:

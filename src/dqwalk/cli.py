@@ -1,7 +1,8 @@
 """Command-line front end: observable grids, sweeps, CSV/JSON emitters.
 
-Rows are always sorted by (r_d, t, s, k) and floats printed with 17
-significant digits, so identical invocations produce byte-identical files.
+Rows are generated in (r_d, t, s, k) order (r_D lists are sorted, time,
+site and momentum grids ascend) and floats printed with 17 significant
+digits, so identical invocations produce byte-identical files.
 Every CSV output gets a manifest JSON alongside recording the invocation.
 Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 I/O error.
 """
@@ -13,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +25,15 @@ from .exceptions import BracketError, NumericalError, QuadratureLimitError
 
 SCALAR_OBSERVABLES = ("purity", "entropy", "variance", "cf")
 
+#: printf-style format of every float cell: 17 significant digits round-trip
+FLOAT_FMT = "%.17g"
+
+#: rows formatted per ``%`` operation in :func:`_write_csv`
+CSV_BLOCK_ROWS = 4096
+
 
 def _fmt(value: float) -> str:
-    return format(value, ".17g")
+    return FLOAT_FMT % value
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -85,16 +93,23 @@ def _params_from_args(args, tprime: float | None = None) -> ModelParams:
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    """Write ``rows`` under ``header``; float columns as FLOAT_FMT, others as
+    integers, with column types taken from the first row.
+
+    Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` operation;
+    the block bound keeps the formatted text small next to ``rows``.
+    """
     out = Path(path)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+        if not rows:
+            return
+        line = ",".join(FLOAT_FMT if isinstance(v, float) else "%d" for v in rows[0]) + "\n"
+        for lo in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[lo : lo + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _write_manifest(out_path: str, command: str, settings: dict, elapsed: float) -> None:
@@ -108,12 +123,14 @@ def _write_manifest(out_path: str, command: str, settings: dict, elapsed: float)
     Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _profile_rows(tprime: float, r_d: float, s_lo: int, s_hi: int) -> list[tuple]:
+def _profile_rows(
+    tprime: float, r_d: float, s_lo: int, s_hi: int, eps_tail: float
+) -> list[tuple]:
     p = ModelParams(tprime=tprime, r_d=r_d)
-    trunc = core.truncation_for(p)
+    trunc = core.truncation_for(p, eps_tail)
     sites = np.arange(s_lo, s_hi + 1)
     probs = core.probability_profile(sites, p, trunc)
-    return [(float(tprime), float(r_d), int(s), float(v)) for s, v in zip(sites, probs)]
+    return list(zip(repeat(float(tprime)), repeat(float(r_d)), sites.tolist(), probs.tolist()))
 
 
 def cmd_prob(args, config) -> int:
@@ -126,16 +143,20 @@ def cmd_prob(args, config) -> int:
         if tprime is None:
             raise ValueError("--rd-list requires --tprime")
         for r_d in sorted(rd_values):
-            rows += _profile_rows(tprime, r_d, s_lo, s_hi)
+            rows += _profile_rows(tprime, r_d, s_lo, s_hi, config["eps_tail"])
     else:
         p = _params_from_args(args)
-        rows += _profile_rows(p.tprime, p.r_d, s_lo, s_hi)
-    rows.sort(key=lambda r: (r[1], r[0], r[2]))
+        rows += _profile_rows(p.tprime, p.r_d, s_lo, s_hi, config["eps_tail"])
     _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
     _write_manifest(
         args.out,
         "prob",
-        {"s_range": args.s_range, "rd_list": rd_values, "tprime": args.tprime},
+        {
+            "s_range": args.s_range,
+            "rd_list": rd_values,
+            "tprime": args.tprime,
+            "eps_tail": config["eps_tail"],
+        },
         time.perf_counter() - start,
     )
     return 0
@@ -147,19 +168,24 @@ def cmd_carpet(args, config) -> int:
     t_values = _parse_grid(args.t_grid)
     if args.rd is None:
         raise ValueError("carpet requires --rd")
-    tasks = [(float(t), args.rd, s_lo, s_hi) for t in t_values]
+    tasks = [(float(t), args.rd, s_lo, s_hi, config["eps_tail"]) for t in t_values]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             blocks = list(pool.map(_profile_rows_star, tasks))
     else:
         blocks = [_profile_rows(*task) for task in tasks]
     rows = [row for block in blocks for row in block]
-    rows.sort(key=lambda r: (r[1], r[0], r[2]))
     _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
     _write_manifest(
         args.out,
         "carpet",
-        {"t_grid": args.t_grid, "rd": args.rd, "s_range": args.s_range, "jobs": args.jobs},
+        {
+            "t_grid": args.t_grid,
+            "rd": args.rd,
+            "s_range": args.s_range,
+            "jobs": args.jobs,
+            "eps_tail": config["eps_tail"],
+        },
         time.perf_counter() - start,
     )
     return 0
@@ -174,19 +200,26 @@ def cmd_wigner(args, config) -> int:
     s_lo, s_hi = _parse_range(args.s_range)
     p = _params_from_args(args)
     n_k = args.k_nodes or config["k_nodes"]
-    grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(n_k))
+    trunc = core.truncation_for(p, config["eps_tail"])
+    grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(n_k), trunc)
     w_max = float(grid.values.max())
-    rows = []
-    for i, s in enumerate(grid.sites):
-        for j, k in enumerate(grid.k_nodes):
-            w = float(grid.values[i, j])
-            rows.append((p.tprime, p.r_d, int(s), float(k), w, w / w_max))
-    rows.sort(key=lambda r: (r[1], r[0], r[2], r[3]))
+    k_nodes = grid.k_nodes.tolist()
+    rows = [
+        (p.tprime, p.r_d, s, k, w, w / w_max)
+        for s, w_row in zip(grid.sites.tolist(), grid.values.tolist())
+        for k, w in zip(k_nodes, w_row)
+    ]
     _write_csv(args.out, ["t", "r_d", "s", "k", "w", "w_normalized"], rows)
     _write_manifest(
         args.out,
         "wigner",
-        {"s_range": args.s_range, "k_nodes": n_k, "tprime": p.tprime, "rd": p.r_d},
+        {
+            "s_range": args.s_range,
+            "k_nodes": n_k,
+            "tprime": p.tprime,
+            "rd": p.r_d,
+            "eps_tail": config["eps_tail"],
+        },
         time.perf_counter() - start,
     )
     return 0
@@ -224,7 +257,6 @@ def cmd_scalar(name: str, args, config) -> int:
             rows = list(pool.map(_scalar_task, tasks))
     else:
         rows = [_scalar_task(task) for task in tasks]
-    rows.sort(key=lambda r: (r[1], r[0]))
     _write_csv(args.out, ["t", "r_d", "value"], rows)
     _write_manifest(
         args.out,

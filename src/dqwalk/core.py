@@ -107,13 +107,24 @@ def probability(s: int, p: ModelParams, trunc: SeriesTruncation) -> float:
 def probability_profile(
     s_values: np.ndarray, p: ModelParams, trunc: SeriesTruncation
 ) -> np.ndarray:
-    """Vectorized :func:`probability` over an integer site array."""
+    """Vectorized :func:`probability` over an integer site array.
+
+    The series is evaluated as one discrete correlation: with the row
+    ``J_m(t')^2`` over orders m = s_min - n_max .. s_max + n_max and the
+    weights ``w_n = e^{-x} I_n(x)``, ``P_s = sum_n J_{s+n}^2 w_n`` is entry
+    s - s_min of ``correlate(row, w, "valid")``.  The terms summed are those
+    of :func:`probability`, all non-negative, so deep-tail values keep their
+    relative accuracy; memory is O(sites + orders).
+    """
     check_truncation(trunc, p.tprime, p.x)
     s_values = np.asarray(s_values, dtype=int)
-    n = trunc.orders()
-    j = bessel_j_orders(s_values[:, None] + n[None, :], p.tprime)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    return (j * j) @ i_row
+    if s_values.size == 0:
+        return np.empty(0)
+    s_min, s_max = int(s_values.min()), int(s_values.max())
+    m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
+    j = bessel_j_orders(m, p.tprime)
+    i_row = bessel_i_scaled_orders(trunc.orders(), p.x)
+    return np.correlate(j * j, i_row, "valid")[s_values - s_min]
 
 
 def probability_qw(s: int, tprime: float) -> float:

@@ -21,7 +21,7 @@ from .bessel import (
     bessel_j_orders,
     truncation_order,
 )
-from .core import I_POWERS, ModelParams, truncation_for
+from .core import I_POWERS, ModelParams, probability_profile, truncation_for
 from .exceptions import NumericalError
 
 #: smallest window half-width; keeps degenerate parameter points cheap but
@@ -64,12 +64,7 @@ class SpectrumResult:
 
 def _probability_row(p: ModelParams, s_hi: int) -> np.ndarray:
     """P_s for s = 0..s_hi (the profile is reflection-symmetric)."""
-    trunc = truncation_for(p)
-    n = trunc.orders()
-    s = np.arange(0, s_hi + 1)
-    j = bessel_j_orders(s[:, None] + n[None, :], p.tprime)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    return (j * j) @ i_row
+    return probability_profile(np.arange(0, s_hi + 1), p, truncation_for(p))
 
 
 def window_half_width(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> tuple[int, float]:

@@ -61,17 +61,26 @@ def _check_k(k: float) -> None:
 def wigner_row(
     s_values: np.ndarray, k: float, p: ModelParams, trunc: SeriesTruncation
 ) -> np.ndarray:
-    """W(s, k) for an array of sites at one momentum node."""
+    """W(s, k) for an array of sites at one momentum node.
+
+    Evaluated, like :func:`dqwalk.core.probability_profile`, as one
+    discrete correlation of the row ``J_{2m}(z)`` over m = s_min - n_max ..
+    s_max + n_max with the weights ``e^{-x} I_n(x)``; no sites x orders
+    array is formed.
+    """
     _check_k(k)
     check_truncation(trunc, p.tprime, p.x)
     s_values = np.asarray(s_values, dtype=int)
-    n = trunc.orders()
+    if s_values.size == 0:
+        return np.empty(0)
+    s_min, s_max = int(s_values.min()), int(s_values.max())
     # orders 2s+2n are even, so J of the (possibly negative) argument
     # 2 t' sin(k/2) equals J of its absolute value
     z = abs(2.0 * p.tprime * math.sin(0.5 * k))
-    j = bessel_j_orders(2 * s_values[:, None] + 2 * n[None, :], z)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    return (j @ i_row) / TWO_PI
+    m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
+    j = bessel_j_orders(2 * m, z)
+    i_row = bessel_i_scaled_orders(trunc.orders(), p.x)
+    return np.correlate(j, i_row, "valid")[s_values - s_min] / TWO_PI
 
 
 def wigner_value(s: int, k: float, p: ModelParams, trunc: SeriesTruncation) -> float:

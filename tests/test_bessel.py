@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from dqwalk import bessel
 from dqwalk.bessel import (
     SeriesTruncation,
     bessel_i_scaled_orders,
@@ -13,7 +15,7 @@ from dqwalk.bessel import (
     scaled_i_tail,
     truncation_order,
 )
-from dqwalk.exceptions import TruncationMismatchError
+from dqwalk.exceptions import NumericalError, TruncationMismatchError
 
 from series_reference import i_scaled_series, j_series
 
@@ -124,6 +126,34 @@ class TestTruncationOrder:
     def test_scaled_i_tail_bound(self):
         trunc = truncation_order(0.0, 100.0, 1e-14)
         assert scaled_i_tail(trunc.n_max, 100.0) < 1e-14
+
+    @pytest.mark.parametrize("n_max,x", [(5, 30.0), (20, 7.0), (54, 7.0)])
+    def test_scaled_i_tail_against_series_reference(self, n_max, x):
+        # (54, 7) is 1.6e-46, far below the 1e-16 floor of 1 - (retained mass)
+        ref = 2.0 * float(sum(i_scaled_series(n, x) for n in range(n_max + 1, n_max + 200)))
+        assert abs(scaled_i_tail(n_max, x) - ref) < 1e-12 * ref
+
+    def test_eps_below_roundoff_floor_returns(self):
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(truncation_order(0.0, 7.0, 1e-17)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert scaled_i_tail(result[0].n_max, 7.0) < 1e-17
+
+    def test_growth_is_capped(self, monkeypatch):
+        monkeypatch.setattr(bessel, "scaled_i_tail", lambda n_max, x: math.nan)
+        with pytest.raises(NumericalError):
+            truncation_order(3.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "tprime,x,n_max",
+        [(100.0, 50.0, 167), (30.0, 300.0, 494), (200.0, 200.0, 362), (2000.0, 1000.0, 2146)],
+    )
+    def test_default_orders_frozen(self, tprime, x, n_max):
+        assert truncation_order(tprime, x).n_max == n_max
 
     def test_records_build_parameters(self):
         trunc = truncation_order(3.0, 1.5)

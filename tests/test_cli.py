@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from dqwalk.cli import _fmt, _load_config, _parse_grid, _parse_list, _parse_range, main
+from dqwalk import core
+from dqwalk.cli import (
+    CSV_BLOCK_ROWS,
+    _fmt,
+    _load_config,
+    _parse_grid,
+    _parse_list,
+    _parse_range,
+    _write_csv,
+    main,
+)
 from dqwalk.core import ModelParams, probability_profile, purity, truncation_for
 
 
@@ -46,6 +56,57 @@ class TestHelpers:
         cfg.write_text("bogus = 1\n")
         with pytest.raises(ValueError):
             _load_config(str(cfg))
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        special = [math.nan, -0.0, 5e-324, math.inf, -math.inf, 1.0 / 3.0, 1e300]
+        rows = [(float(i), v, i - 7, -v) for i, v in enumerate(special * 1300)]
+        assert len(rows) > 2 * CSV_BLOCK_ROWS
+        out = tmp_path / "special.csv"
+        _write_csv(str(out), ["a", "b", "s", "c"], rows)
+        expected = "a,b,s,c\n" + "".join(
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+        assert out.read_text() == expected
+
+    def test_empty_rows_write_header_only(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        _write_csv(str(out), ["t", "value"], [])
+        assert out.read_text() == "t,value\n"
+
+
+EPS_TAIL_ARGV = {
+    "prob": ["prob", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2"],
+    "carpet": ["carpet", "--rd", "0.5", "--t-grid", "1:2:1", "--s-range=-2:2"],
+    "wigner": ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "5"],
+}
+
+
+class TestEpsTail:
+    @pytest.mark.parametrize("command", sorted(EPS_TAIL_ARGV))
+    def test_reaches_truncation_and_manifest(self, command, tmp_path, monkeypatch):
+        seen = []
+        original = core.truncation_order
+
+        def spy(tprime, x, eps_tail=1e-14):
+            seen.append(eps_tail)
+            return original(tprime, x, eps_tail)
+
+        monkeypatch.setattr(core, "truncation_order", spy)
+        out = tmp_path / "out.csv"
+        code = main(EPS_TAIL_ARGV[command] + ["--eps-tail", "1e-30", "--out", str(out)])
+        assert code == 0
+        assert seen and all(eps == 1e-30 for eps in seen)
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert manifest["settings"]["eps_tail"] == 1e-30
+
+    @pytest.mark.parametrize("command", sorted(EPS_TAIL_ARGV))
+    def test_zero_is_exit_1(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(EPS_TAIL_ARGV[command] + ["--eps-tail", "0", "--out", str(out)]) == 1
+        assert "eps_tail" in capsys.readouterr().err
 
 
 class TestProbCommand:

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dqwalk.bessel import truncation_order
+from dqwalk.bessel import bessel_i_scaled_orders, bessel_j_orders, truncation_order
 from dqwalk.core import (
     ModelParams,
     anderson_velocity,
@@ -19,6 +20,8 @@ from dqwalk.core import (
     variance,
 )
 from dqwalk.exceptions import TruncationMismatchError
+
+from series_reference import profile_series
 
 # frozen from the 40-digit ascending-series reference
 J0_1_SQ = 0.58552749951366402438
@@ -126,6 +129,47 @@ class TestProbability:
         second = float((s.astype(float) ** 2 * probability_profile(s, p, tr)).sum())
         expected = variance(p)
         assert abs(second - expected) < 1e-8 * (1.0 + expected)
+
+
+def gather_profile(s_values, p, trunc):
+    """The sites x orders evaluation of the profile series; reference only."""
+    n = trunc.orders()
+    j = bessel_j_orders(np.asarray(s_values)[:, None] + n[None, :], p.tprime)
+    return (j * j) @ bessel_i_scaled_orders(n, p.x)
+
+
+class TestProfileKernel:
+    @pytest.mark.parametrize("r_d", [0.0, 0.5])
+    def test_deep_tail_against_series_reference(self, r_d):
+        # P_60 is 5.2e-46 at r_D = 0: every term is non-negative, so the
+        # relative error stays at roundoff far below the profile maximum
+        p, tr = params(20.0, r_d)
+        sites = np.array([0, 15, 40, 60])
+        prof = probability_profile(sites, p, tr)
+        for s, v in zip(sites, prof):
+            ref = float(profile_series(int(s), 20.0, p.x, 100))
+            assert abs(v - ref) < 1e-11 * ref
+
+    def test_memory_is_linear_in_sites_plus_orders(self):
+        # the sites x orders gather peaked at 915 MB on this grid
+        p, tr = params(2000.0, 0.5)
+        sites = np.arange(-2600, 2601)
+        tracemalloc.start()
+        try:
+            probability_profile(sites, p, tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_empty_and_reversed_sites_match_gather(self):
+        p, tr = params(7.0, 0.8)
+        empty = probability_profile(np.array([], dtype=int), p, tr)
+        assert empty.shape == (0,)
+        s = np.arange(-12, 25)
+        for sites in (-s, s[::-1], np.array([3, -9, 3, 0])):
+            ref = gather_profile(sites, p, tr)
+            assert np.allclose(probability_profile(sites, p, tr), ref, rtol=1e-14, atol=0.0)
 
 
 class TestLimits:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dqwalk.bessel import bessel_i_scaled_orders, bessel_j_orders
 from dqwalk.core import ModelParams, probability_profile, truncation_for
 from dqwalk.exceptions import BracketError, NumericalError, WindowTooSmallError
 from dqwalk.spectral import build_window
@@ -18,8 +19,11 @@ from dqwalk.wigner import (
     wigner_from_density,
     wigner_grid,
     wigner_qw,
+    wigner_row,
     wigner_value,
 )
+
+from series_reference import wigner_series
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +114,34 @@ class TestConsistency:
         window = build_window(p)
         with pytest.raises(WindowTooSmallError):
             wigner_from_density(window.half_width + 1, 0.5, window)
+
+
+def gather_row(s_values, k, p, trunc):
+    """The sites x orders evaluation of the Wigner series; reference only."""
+    n = trunc.orders()
+    z = abs(2.0 * p.tprime * math.sin(0.5 * k))
+    j = bessel_j_orders(2 * np.asarray(s_values)[:, None] + 2 * n[None, :], z)
+    return (j @ bessel_i_scaled_orders(n, p.x)) / TWO_PI
+
+
+class TestRowKernel:
+    def test_against_series_reference(self):
+        p, tr = setup(20.0, 0.5)
+        k = 2.0
+        z = abs(2.0 * 20.0 * math.sin(0.5 * k))
+        sites = np.array([0, 15, 40, 60])
+        row = wigner_row(sites, k, p, tr)
+        for s, v in zip(sites, row):
+            ref = float(wigner_series(int(s), z, p.x, 100)) / TWO_PI
+            assert abs(v - ref) < 1e-15
+
+    def test_empty_and_reversed_sites_match_gather(self):
+        p, tr = setup(9.0, 0.3)
+        assert wigner_row(np.array([], dtype=int), 1.1, p, tr).shape == (0,)
+        s = np.arange(-10, 14)
+        for sites in (-s, s[::-1], np.array([4, -7, 4, 0])):
+            ref = gather_row(sites, 1.1, p, tr)
+            assert np.allclose(wigner_row(sites, 1.1, p, tr), ref, rtol=0.0, atol=1e-16)
 
 
 class TestGridAndMarginals:
