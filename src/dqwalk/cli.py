@@ -1,19 +1,22 @@
-"""Command-line front end: observable grids, sweeps, CSV/JSON emitters.
+"""Command-line front end: observable grids, CSV/JSON emitters.
 
 Rows are generated in (r_d, t, s, k) order (r_D lists are sorted, time,
 site and momentum grids ascend) and floats printed with 17 significant
 digits, so identical invocations produce byte-identical files.
 Every CSV output gets a manifest JSON alongside recording the invocation.
-Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 I/O error.
+Each subcommand accepts only the flags it reads.
+Exit codes: 0 success, 1 invalid input (usage errors included),
+2 numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -42,6 +45,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid must be 'a:b:step', got {text!r}")
     a, b, step = (float(x) for x in parts)
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ValueError(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"bad grid {text!r}")
     count = int(round((b - a) / step)) + 1
@@ -64,7 +69,7 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _load_config(path: str | None) -> dict:
-    defaults = {"mass_tol": 1e-12, "eps_tail": 1e-14, "quad_nodes": 256, "k_nodes": 256}
+    defaults = {"eps_tail": 1e-14, "quad_nodes": 256, "k_nodes": 256}
     if path is None:
         return defaults
     for line in Path(path).read_text().splitlines():
@@ -80,16 +85,22 @@ def _load_config(path: str | None) -> dict:
     return defaults
 
 
-def _params_from_args(args, tprime: float | None = None) -> ModelParams:
-    if args.omega_over_hbar is not None:
-        if args.d_coeff is None or args.t is None:
-            raise ValueError("--omega-over-hbar requires --d-coeff and --t")
+def _physical_given(args) -> bool:
+    return any(v is not None for v in (args.omega_over_hbar, args.d_coeff, args.t))
+
+
+def _params_from_args(args) -> ModelParams:
+    if _physical_given(args):
+        if args.tprime is not None or args.rd is not None:
+            raise ValueError(
+                "give --tprime/--rd or --omega-over-hbar/--d-coeff/--t, not both"
+            )
+        if args.omega_over_hbar is None or args.d_coeff is None or args.t is None:
+            raise ValueError("--omega-over-hbar, --d-coeff and --t go together")
         return ModelParams.from_physical(args.omega_over_hbar, args.d_coeff, args.t)
-    if tprime is None:
-        tprime = args.tprime
-    if tprime is None or args.rd is None:
+    if args.tprime is None or args.rd is None:
         raise ValueError("provide --tprime/--rd or --omega-over-hbar/--d-coeff/--t")
-    return ModelParams(tprime=tprime, r_d=args.rd)
+    return ModelParams(tprime=args.tprime, r_d=args.rd)
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
@@ -136,17 +147,20 @@ def _profile_rows(
 def cmd_prob(args, config) -> int:
     start = time.perf_counter()
     s_lo, s_hi = _parse_range(args.s_range)
-    rd_values = _parse_list(args.rd_list) if args.rd_list else None
-    rows = []
-    if rd_values is not None:
-        tprime = args.tprime
-        if tprime is None:
+    if args.rd_list is not None:
+        if args.rd is not None or _physical_given(args):
+            raise ValueError("--rd-list replaces --rd and the physical-unit flags")
+        if args.tprime is None:
             raise ValueError("--rd-list requires --tprime")
-        for r_d in sorted(rd_values):
-            rows += _profile_rows(tprime, r_d, s_lo, s_hi, config["eps_tail"])
+        tprime, rd_values = args.tprime, sorted(_parse_list(args.rd_list))
+        if not rd_values:
+            raise ValueError("empty --rd-list")
     else:
         p = _params_from_args(args)
-        rows += _profile_rows(p.tprime, p.r_d, s_lo, s_hi, config["eps_tail"])
+        tprime, rd_values = p.tprime, [p.r_d]
+    rows = []
+    for r_d in rd_values:
+        rows += _profile_rows(tprime, r_d, s_lo, s_hi, config["eps_tail"])
     _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
     _write_manifest(
         args.out,
@@ -154,7 +168,7 @@ def cmd_prob(args, config) -> int:
         {
             "s_range": args.s_range,
             "rd_list": rd_values,
-            "tprime": args.tprime,
+            "tprime": tprime,
             "eps_tail": config["eps_tail"],
         },
         time.perf_counter() - start,
@@ -165,16 +179,9 @@ def cmd_prob(args, config) -> int:
 def cmd_carpet(args, config) -> int:
     start = time.perf_counter()
     s_lo, s_hi = _parse_range(args.s_range)
-    t_values = _parse_grid(args.t_grid)
-    if args.rd is None:
-        raise ValueError("carpet requires --rd")
-    tasks = [(float(t), args.rd, s_lo, s_hi, config["eps_tail"]) for t in t_values]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            blocks = list(pool.map(_profile_rows_star, tasks))
-    else:
-        blocks = [_profile_rows(*task) for task in tasks]
-    rows = [row for block in blocks for row in block]
+    rows = []
+    for t in _parse_grid(args.t_grid):
+        rows += _profile_rows(float(t), args.rd, s_lo, s_hi, config["eps_tail"])
     _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
     _write_manifest(
         args.out,
@@ -183,7 +190,6 @@ def cmd_carpet(args, config) -> int:
             "t_grid": args.t_grid,
             "rd": args.rd,
             "s_range": args.s_range,
-            "jobs": args.jobs,
             "eps_tail": config["eps_tail"],
         },
         time.perf_counter() - start,
@@ -191,15 +197,11 @@ def cmd_carpet(args, config) -> int:
     return 0
 
 
-def _profile_rows_star(task):
-    return _profile_rows(*task)
-
-
 def cmd_wigner(args, config) -> int:
     start = time.perf_counter()
     s_lo, s_hi = _parse_range(args.s_range)
     p = _params_from_args(args)
-    n_k = args.k_nodes or config["k_nodes"]
+    n_k = args.k_nodes if args.k_nodes is not None else config["k_nodes"]
     trunc = core.truncation_for(p, config["eps_tail"])
     grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(n_k), trunc)
     w_max = float(grid.values.max())
@@ -225,51 +227,30 @@ def cmd_wigner(args, config) -> int:
     return 0
 
 
-def _scalar_value(name: str, p: ModelParams, xi: float, mass_tol: float) -> float:
-    if name == "purity":
-        return core.purity(p)
-    if name == "entropy":
-        return spectral.entropy(p, mass_tol)
-    if name == "variance":
-        return core.variance(p)
-    return core.characteristic_function(xi, p)
-
-
-def _scalar_task(task):
-    name, tprime, r_d, xi, mass_tol = task
-    value = _scalar_value(name, ModelParams(tprime=tprime, r_d=r_d), xi, mass_tol)
-    return (tprime, r_d, value)
-
-
 def cmd_scalar(name: str, args, config) -> int:
     start = time.perf_counter()
     t_values = _parse_grid(args.t_grid)
     rd_values = sorted(_parse_list(args.rd_list))
     if not rd_values:
         raise ValueError("empty --rd-list")
-    tasks = [
-        (name, float(t), float(r), args.xi, config["mass_tol"])
+    settings = {"t_grid": args.t_grid, "rd_list": rd_values}
+    if name == "purity":
+        value = core.purity
+    elif name == "entropy":
+        settings["eps_tail"] = config["eps_tail"]
+        value = partial(spectral.entropy, eps_tail=config["eps_tail"])
+    elif name == "variance":
+        value = core.variance
+    else:
+        settings["xi"] = args.xi
+        value = partial(core.characteristic_function, args.xi)
+    rows = [
+        (float(t), float(r), value(ModelParams(tprime=float(t), r_d=float(r))))
         for r in rd_values
         for t in t_values
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_scalar_task, tasks))
-    else:
-        rows = [_scalar_task(task) for task in tasks]
     _write_csv(args.out, ["t", "r_d", "value"], rows)
-    _write_manifest(
-        args.out,
-        name,
-        {
-            "t_grid": args.t_grid,
-            "rd_list": rd_values,
-            "xi": args.xi if name == "cf" else None,
-            "mass_tol": config["mass_tol"],
-            "jobs": args.jobs,
-        },
-        time.perf_counter() - start,
-    )
+    _write_manifest(args.out, name, settings, time.perf_counter() - start)
     return 0
 
 
@@ -295,12 +276,27 @@ def cmd_validate(args, config) -> int:
     return 0 if report["passed"] else 2
 
 
-def cmd_sweep(args, config) -> int:
-    if args.observable not in SCALAR_OBSERVABLES:
-        raise ValueError(
-            f"observable must be one of {SCALAR_OBSERVABLES}, got {args.observable!r}"
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit code 2 means numerical failure here.
+
+    Prefixes are not expanded, so ``purity --rd`` is rejected instead of
+    being read as ``--rd-list``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _one_job(text: str) -> int:
+    if text.strip() != "1":
+        raise argparse.ArgumentTypeError(
+            f"only 1 is accepted, got {text!r}: every command runs in one process"
         )
-    return cmd_scalar(args.observable, args, config)
+    return 1
 
 
 def _add_param_flags(parser) -> None:
@@ -311,17 +307,15 @@ def _add_param_flags(parser) -> None:
     parser.add_argument("--t", type=float, help="physical time t")
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--mass-tol", type=float, help="window mass tolerance")
+def _add_series_flags(parser) -> None:
+    """Flags of the commands that truncate a Bessel series."""
     parser.add_argument("--eps-tail", type=float, help="series tail tolerance")
-    parser.add_argument("--quad-nodes", type=int, help="quadrature nodes per axis")
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--jobs", type=_one_job, help="worker processes; only 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqwalk",
         description="Observables of a dissipative quantum walk on a 1D lattice",
     )
@@ -330,37 +324,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="site probability profile")
     _add_param_flags(p)
-    p.add_argument("--rd-list", help="comma-separated r_D values")
+    p.add_argument("--rd-list", help="comma-separated r_D values, with --tprime")
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
-    _add_common_flags(p)
+    _add_series_flags(p)
+    p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("carpet", help="probability over a time grid")
-    _add_param_flags(p)
+    p.add_argument("--rd", type=float, required=True, help="dissipation ratio r_D")
     p.add_argument("--t-grid", dest="t_grid", required=True, help="a:b:step")
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
-    _add_common_flags(p)
+    _add_series_flags(p)
+    p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("wigner", help="Wigner phase-space grid")
     _add_param_flags(p)
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
     p.add_argument("--k-nodes", dest="k_nodes", type=int, help="momentum nodes")
-    _add_common_flags(p)
+    _add_series_flags(p)
+    p.add_argument("--out", required=True, help="output CSV path")
 
     for name in SCALAR_OBSERVABLES:
         p = sub.add_parser(name, help=f"{name} over a (t', r_D) grid")
-        _add_param_flags(p)
         p.add_argument("--t-grid", dest="t_grid", required=True, help="a:b:step")
         p.add_argument("--rd-list", dest="rd_list", required=True)
-        p.add_argument("--xi", type=float, default=1.0, help="cf argument xi")
-        _add_common_flags(p)
-
-    p = sub.add_parser("sweep", help="generic scalar observable sweep")
-    _add_param_flags(p)
-    p.add_argument("--observable", required=True, choices=SCALAR_OBSERVABLES)
-    p.add_argument("--t-grid", dest="t_grid", required=True)
-    p.add_argument("--rd-list", dest="rd_list", required=True)
-    p.add_argument("--xi", type=float, default=1.0)
-    _add_common_flags(p)
+        if name == "cf":
+            p.add_argument("--xi", type=float, default=1.0, help="cf argument xi")
+        if name == "entropy":
+            _add_series_flags(p)
+        p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("critical-rd", help="quantum-classical threshold by bisection")
     p.add_argument("--t-star", dest="t_star", type=float, default=1.9)
@@ -383,12 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
-        for key, attr in (
-            ("mass_tol", "mass_tol"),
-            ("eps_tail", "eps_tail"),
-            ("quad_nodes", "quad_nodes"),
-        ):
-            override = getattr(args, attr, None)
+        for key in ("eps_tail", "quad_nodes"):
+            override = getattr(args, key, None)
             if override is not None:
                 config[key] = override
 
@@ -400,8 +387,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_wigner(args, config)
         if args.command in SCALAR_OBSERVABLES:
             return cmd_scalar(args.command, args, config)
-        if args.command == "sweep":
-            return cmd_sweep(args, config)
         if args.command == "critical-rd":
             return cmd_critical_rd(args, config)
         if args.command == "validate":

@@ -1,10 +1,12 @@
 """Finite-window density matrix, its spectrum, and von Neumann entropy.
 
-The walk lives on an infinite lattice but stays inside a ballistic light
-cone, so a finite Hermitian window [-L, L] captures all but a controlled
-probability mass.  The window is diagonalized through an isospectral real
-symmetric form obtained by stripping the i^(s1-s2) phase with the unitary
-diag(i^s).
+The spectrum of rho(t) is exactly the Skellam weights e^{-x} I_n(x), so
+:func:`entropy` is a sum over one scaled-I row.  The windowed eigensolve
+is kept as its oracle: the walk lives on an infinite lattice but stays
+inside a ballistic light cone, so a finite Hermitian window [-L, L]
+captures all but a controlled probability mass.  The window is
+diagonalized through an isospectral real symmetric form obtained by
+stripping the i^(s1-s2) phase with the unitary diag(i^s).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import (
+    EPS_TAIL_DEFAULT,
     bessel_i_scaled_orders,
     bessel_i_scaled_row,
     bessel_j_orders,
@@ -149,11 +152,12 @@ def eigen_spectrum(
     return SpectrumResult(eigenvalues=vals, clamped_count=clamped, renormalized=True)
 
 
-def entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
+def window_entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
     """von Neumann entropy -sum lambda ln lambda of the windowed rho(t).
 
-    Zero for a pure state (r_d = 0 or t' = 0); bounded by ln(2L+1).
-    The 0 ln 0 limit is taken as 0.
+    The eigensolve oracle for :func:`entropy`.  Zero for a pure state
+    (r_d = 0 or t' = 0); bounded by ln(2L+1).  The 0 ln 0 limit is taken
+    as 0.
     """
     spectrum = eigen_spectrum(build_window(p, mass_tol))
     vals = spectrum.eigenvalues
@@ -161,7 +165,7 @@ def entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
     return float(-(vals * np.log(vals)).sum())
 
 
-def entropy_asymptotic(p: ModelParams) -> float:
+def entropy(p: ModelParams, eps_tail: float = EPS_TAIL_DEFAULT) -> float:
     """von Neumann entropy -sum_n w_n ln w_n of the exact spectrum of rho(t).
 
     The shifted Bessel vectors psi_n(s) = i^s J_{s+n}(t') are orthonormal
@@ -170,18 +174,20 @@ def entropy_asymptotic(p: ModelParams) -> float:
     w_n = e^{-x} I_n(x).  The eigenvalues of rho are therefore exactly the
     Skellam(x/2, x/2) weights w_n at every t', and the entropy depends on
     x = r_d t' alone.  It agrees with the windowed eigensolve
-    :func:`entropy` to roundoff, and its limits are
+    :func:`window_entropy` to roundoff, and its limits are
 
         -x ln x + x (1 + ln 2) + O(x^2 ln x)      for x << 1,
         (1/2) ln(2 pi e x) - 1 / (48 x^2) + ...    for x >> 1,
 
     so it grows without bound; it does not saturate at ln 2.  The sum runs
-    over the orders the scaled-I tail rule keeps at this x, using the
-    symmetry w_{-n} = w_n.
+    over the orders whose neglected scaled-I tail is below ``eps_tail``,
+    using the symmetry w_{-n} = w_n.
     """
+    # truncate before the x = 0 shortcut, so a bad eps_tail is rejected there too
+    n_max = truncation_order(0.0, p.x, eps_tail).n_max
     if p.x == 0.0:
         return 0.0
-    w = bessel_i_scaled_row(truncation_order(0.0, p.x).n_max, p.x)
+    w = bessel_i_scaled_row(n_max, p.x)
     w = w[w > 0.0]
     terms = w * np.log(w)
     return float(-(terms[0] + 2.0 * terms[1:].sum()))
@@ -216,7 +222,7 @@ def asymptotic_eigenvalues(L: int, p: ModelParams) -> tuple[float, float]:
     The pair belongs to the quarantined stationary-phase structure matrix
     of :func:`asymptotic_density_element`, not to the spectrum of rho(t):
     that spectrum is the full Skellam pmf e^{-x} I_n(x) (see
-    :func:`entropy_asymptotic`).
+    :func:`entropy`).
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -250,7 +256,7 @@ def asymptotic_density_element(
     The printed stationary-phase prefactor is inconsistent with the exact
     series at order one, so this evaluator is quarantined: callers must opt
     in with ``diagnostic=True``.  The spectrum of rho(t) comes from the
-    exact Skellam weights in :func:`entropy_asymptotic`, not from this
+    exact Skellam weights in :func:`entropy`, not from this
     matrix.
     """
     if not diagnostic:

@@ -106,21 +106,21 @@ def check_convolution_identity() -> list[dict]:
 
 
 def check_asymptotic_entropy() -> list[dict]:
-    """Windowed-eigensolve entropy against the exact Skellam spectrum.
+    """Exact-spectrum entropy against the windowed-eigensolve oracle.
 
-    The two are the same quantity (see ``spectral.entropy_asymptotic``),
-    so the bound is a roundoff bound on the relative gap.
+    The two are the same quantity (see ``spectral.entropy``), so the bound
+    is a roundoff bound on the relative gap.
     """
     p = ModelParams(tprime=100.0, r_d=0.005)
-    full = spectral.entropy(p)
-    asym = spectral.entropy_asymptotic(p)
-    rel = abs(full - asym) / asym
+    windowed = spectral.window_entropy(p)
+    exact = spectral.entropy(p)
+    rel = abs(windowed - exact) / exact
     return [_record("asymptotic_entropy_agreement(t'=100,r_d=0.005)", rel, 1e-9)]
 
 
 def run_checks(level: str = "fast", quad_nodes: int = 256) -> dict:
     """Run the validation suite; level 'full' adds the slow comparison of
-    the windowed-eigensolve entropy with the exact-spectrum entropy."""
+    the exact-spectrum entropy with the windowed eigensolve."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     start = time.perf_counter()

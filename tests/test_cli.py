@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dqwalk import core
+from dqwalk import core, spectral
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
     _fmt,
@@ -16,6 +16,14 @@ from dqwalk.cli import (
     main,
 )
 from dqwalk.core import ModelParams, probability_profile, purity, truncation_for
+
+
+def exit_code(argv):
+    """Return code of ``main(argv)``; usage errors leave through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -32,7 +40,7 @@ class TestHelpers:
 
     def test_parse_grid(self):
         assert np.allclose(_parse_grid("0:1:0.25"), [0.0, 0.25, 0.5, 0.75, 1.0])
-        for bad in ["0:1", "1:0:0.5", "0:1:0", "0:1:-1"]:
+        for bad in ["0:1", "1:0:0.5", "0:1:0", "0:1:-1", "0:inf:1", "nan:1:1", "0:1:inf"]:
             with pytest.raises(ValueError):
                 _parse_grid(bad)
 
@@ -49,13 +57,16 @@ class TestHelpers:
     def test_config_defaults_and_overrides(self, tmp_path):
         assert _load_config(None)["quad_nodes"] == 256
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mass_tol = 1e-10  # looser\nquad_nodes = 128\n")
+        cfg.write_text("eps_tail = 1e-10  # looser\nquad_nodes = 128\n")
         loaded = _load_config(str(cfg))
-        assert loaded["mass_tol"] == 1e-10
+        assert loaded["eps_tail"] == 1e-10
         assert loaded["quad_nodes"] == 128
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(ValueError):
-            _load_config(str(cfg))
+        for removed in ("bogus = 1\n", "mass_tol = 1e-10\n"):
+            cfg.write_text(removed)
+            with pytest.raises(ValueError):
+                _load_config(str(cfg))
+            argv = ["entropy", "--t-grid", "1:2:1", "--rd-list", "0.5", "--config", str(cfg)]
+            assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
 
 
 class TestWriteCsv:
@@ -81,6 +92,7 @@ EPS_TAIL_ARGV = {
     "prob": ["prob", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2"],
     "carpet": ["carpet", "--rd", "0.5", "--t-grid", "1:2:1", "--s-range=-2:2"],
     "wigner": ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "5"],
+    "entropy": ["entropy", "--t-grid", "1:2:1", "--rd-list", "0.5"],
 }
 
 
@@ -95,6 +107,7 @@ class TestEpsTail:
             return original(tprime, x, eps_tail)
 
         monkeypatch.setattr(core, "truncation_order", spy)
+        monkeypatch.setattr(spectral, "truncation_order", spy)
         out = tmp_path / "out.csv"
         code = main(EPS_TAIL_ARGV[command] + ["--eps-tail", "1e-30", "--out", str(out)])
         assert code == 0
@@ -182,12 +195,15 @@ class TestCarpetCommand:
         times = [float(r[0]) for r in rows]
         assert times == sorted(times)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    def test_jobs_1_matches_no_flag_and_2_exits_1(self, tmp_path, capsys):
+        plain, one = tmp_path / "plain.csv", tmp_path / "one.csv"
         argv = ["carpet", "--rd", "0.5", "--t-grid", "0:3:0.5", "--s-range=-6:6"]
-        main(argv + ["--out", str(serial)])
-        main(argv + ["--out", str(parallel), "--jobs", "2"])
-        assert serial.read_bytes() == parallel.read_bytes()
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--out", str(one), "--jobs", "1"]) == 0
+        assert plain.read_bytes() == one.read_bytes()
+        capsys.readouterr()
+        assert exit_code(argv + ["--out", str(tmp_path / "two.csv"), "--jobs", "2"]) == 1
+        assert "only 1 is accepted" in capsys.readouterr().err
 
 
 class TestWignerCommand:
@@ -209,6 +225,8 @@ class TestWignerCommand:
         assert np.allclose(wn, w / w.max())
         # the dissipation-free walk is negative at (0, pi) for t' = 1.9
         assert w.min() < 0.0
+        zero = ["wigner", "--tprime", "1.9", "--rd", "0", "--s-range=-3:3", "--k-nodes", "0"]
+        assert main(zero + ["--out", str(tmp_path / "zero.csv")]) == 1
 
 
 class TestScalarCommands:
@@ -223,17 +241,6 @@ class TestScalarCommands:
         got = {float(r[0]): float(r[2]) for r in rows}
         for t in [0.0, 1.0, 2.0]:
             assert got[t] == pytest.approx(purity(ModelParams(t, 0.5)), abs=1e-15)
-
-    def test_sweep_delegates(self, tmp_path):
-        direct, swept = tmp_path / "d.csv", tmp_path / "s.csv"
-        main(["variance", "--t-grid", "0:2:0.5", "--rd-list", "0,1", "--out", str(direct)])
-        main(
-            [
-                "sweep", "--observable", "variance",
-                "--t-grid", "0:2:0.5", "--rd-list", "0,1", "--out", str(swept),
-            ]
-        )
-        assert direct.read_bytes() == swept.read_bytes()
 
     def test_cf_uses_xi(self, tmp_path):
         out = tmp_path / "cf.csv"
@@ -280,6 +287,85 @@ class TestValidateCommand:
             r for r in report["checks"] if r["name"].startswith("asymptotic_entropy_agreement")
         ]
         assert len(entropy_check) == 1 and entropy_check[0]["value"] <= 1e-9
+
+
+#: a valid invocation of every CSV command, without ``--out``
+BASE_ARGV = {
+    **EPS_TAIL_ARGV,
+    **{
+        name: [name, "--t-grid", "1:2:1", "--rd-list", "0.5"]
+        for name in ("purity", "variance", "cf")
+    },
+}
+PARAM_FLAGS = ("--tprime", "--rd", "--omega-over-hbar", "--d-coeff", "--t")
+#: (command, flag) pairs that were accepted and never read
+REMOVED_FLAGS = [
+    *[(command, "--mass-tol") for command in sorted(BASE_ARGV)],
+    *[(command, "--quad-nodes") for command in sorted(BASE_ARGV)],
+    *[(command, "--xi") for command in ("purity", "entropy", "variance")],
+    *[
+        (command, flag)
+        for command in ("purity", "variance", "cf")
+        for flag in ("--eps-tail", "--config", "--jobs")
+    ],
+    *[("carpet", flag) for flag in PARAM_FLAGS if flag != "--rd"],
+    *[
+        (command, flag)
+        for command in ("purity", "entropy", "variance", "cf")
+        for flag in PARAM_FLAGS
+    ],
+]
+USAGE_ERRORS = {
+    "sweep": ["sweep", "--observable", "variance", "--t-grid", "0:2:0.5", "--rd-list", "0,1"],
+    "jobs-2": EPS_TAIL_ARGV["carpet"] + ["--jobs", "2"],
+    "jobs-0": EPS_TAIL_ARGV["entropy"] + ["--jobs", "0"],
+    "jobs-neg": EPS_TAIL_ARGV["prob"] + ["--jobs", "-3"],
+    "unknown-flag": EPS_TAIL_ARGV["prob"] + ["--bogus", "3"],
+    "bad-choice": ["validate", "--level", "nope"],
+    "carpet-no-rd": ["carpet", "--t-grid", "1:2:1", "--s-range=-2:2"],
+    "prefix": ["carpet", "--rd", "0.5", "--t-gr", "1:2:1", "--s-range=-2:2"],
+}
+CONFLICTS = {
+    "rd-list-and-rd": ["prob", "--tprime", "3", "--rd-list", "0.5", "--rd", "0.5", "--s-range=0:1"],
+    "rd-list-and-t": ["prob", "--tprime", "3", "--rd-list", "0.5", "--t", "2", "--s-range=0:1"],
+    "empty-rd-list": ["prob", "--tprime", "3", "--rd-list", " ", "--s-range=0:1"],
+    "tprime-and-d-coeff": ["prob", "--tprime", "3", "--rd", "0.5", "--d-coeff", "1", "--s-range=0:1"],
+    "physical-and-rd": [
+        "prob", "--omega-over-hbar", "2", "--d-coeff", "0.5", "--t", "2", "--rd", "0.5",
+        "--s-range=0:1",
+    ],
+    "physical-and-tprime": [
+        "wigner", "--omega-over-hbar", "2", "--d-coeff", "0.5", "--t", "2", "--tprime", "4",
+        "--s-range=0:1", "--k-nodes", "5",
+    ],
+}
+
+
+class TestRejectedFlags:
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_base_invocation_runs(self, command, tmp_path):
+        assert main(BASE_ARGV[command] + ["--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS]
+    )
+    def test_removed_flag_exits_1(self, command, flag, tmp_path, capsys):
+        argv = BASE_ARGV[command] + [flag, "1", "--out", str(tmp_path / "x.csv")]
+        assert exit_code(argv) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exits_1(self, case, tmp_path, capsys):
+        assert exit_code(USAGE_ERRORS[case] + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(CONFLICTS))
+    def test_conflicting_parameters_exit_1(self, case, tmp_path, capsys):
+        assert main(CONFLICTS[case] + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestExitCodes:

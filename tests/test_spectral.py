@@ -14,8 +14,8 @@ from dqwalk.spectral import (
     dephase_to_real,
     eigen_spectrum,
     entropy,
-    entropy_asymptotic,
     entropy_small_dissipation,
+    window_entropy,
     window_half_width,
 )
 
@@ -118,8 +118,15 @@ class TestSpectrum:
 
 class TestEntropy:
     def test_zero_for_pure_states(self):
-        assert entropy(ModelParams(9.0, 0.0)) < 1e-10
-        assert entropy(ModelParams(0.0, 5.0)) < 1e-10
+        assert window_entropy(ModelParams(9.0, 0.0)) < 1e-10
+        assert window_entropy(ModelParams(0.0, 5.0)) < 1e-10
+        assert entropy(ModelParams(9.0, 0.0)) == 0.0
+        assert entropy(ModelParams(0.0, 5.0)) == 0.0
+
+    @pytest.mark.parametrize("tprime,r_d", [(0.0, 0.0), (5.0, 0.5)])
+    def test_rejects_nonpositive_eps_tail(self, tprime, r_d):
+        with pytest.raises(ValueError, match="eps_tail"):
+            entropy(ModelParams(tprime, r_d), eps_tail=0.0)
 
     def test_positive_and_monotone_in_dissipation(self):
         values = [entropy(ModelParams(5.0, r)) for r in [0.1, 0.5, 1.0, 2.0]]
@@ -129,6 +136,7 @@ class TestEntropy:
     def test_bounded_by_window_dimension(self):
         p = ModelParams(10.0, 5.0)
         half, _ = window_half_width(p)
+        assert window_entropy(p) < math.log(2 * half + 1)
         assert entropy(p) < math.log(2 * half + 1)
 
     def test_increases_with_time(self):
@@ -140,8 +148,8 @@ class TestAsymptotics:
     def test_two_level_entropy_limits(self):
         # the Skellam entropy grows as (1/2) ln(2 pi e x) - 1/(48 x^2);
         # the correction is 2e-14 at x = 1e6
-        assert entropy_asymptotic(ModelParams(1.0, 0.0)) == 0.0
-        assert entropy_asymptotic(ModelParams(1e6, 1.0)) == pytest.approx(
+        assert entropy(ModelParams(1.0, 0.0)) == 0.0
+        assert entropy(ModelParams(1e6, 1.0)) == pytest.approx(
             0.5 * math.log(2.0 * math.pi * math.e * 1e6), abs=1e-12
         )
 
@@ -150,7 +158,7 @@ class TestAsymptotics:
     )
     def test_exact_spectrum_entropy_matches_eigensolve(self, tprime, r_d):
         p = ModelParams(tprime, r_d)
-        assert abs(entropy_asymptotic(p) - entropy(p)) < 1e-9
+        assert abs(entropy(p) - window_entropy(p)) < 1e-9
 
     def test_spectrum_is_skellam_pmf(self):
         # rho = sum_n e^{-x} I_n(x) |psi_n><psi_n| with orthonormal psi_n
