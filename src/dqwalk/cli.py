@@ -4,7 +4,9 @@ Rows are generated in (r_d, t, s, k) order (r_D lists are sorted, time,
 site and momentum grids ascend) and floats printed with 17 significant
 digits, so identical invocations produce byte-identical files.
 Every CSV output gets a manifest JSON alongside recording the invocation.
-Each subcommand accepts only the flags it reads.
+Each subcommand accepts only the flags it reads; each tunable flag defaults
+to the library constant.  CSV commands return ``(header, rows, settings)``
+and :func:`main` writes the file and its manifest.
 Exit codes: 0 success, 1 invalid input (usage errors included),
 2 numerical failure, 3 I/O error.
 """
@@ -22,11 +24,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, core, fourier, spectral, validate, wigner
+from . import __version__, bessel, core, fourier, spectral, validate, wigner
 from .core import ModelParams
 from .exceptions import BracketError, NumericalError, QuadratureLimitError
 
-SCALAR_OBSERVABLES = ("purity", "entropy", "variance", "cf")
+#: library function behind each scalar command; it is called with ``p=`` and
+#: with the command's own flags (``eps_tail`` or ``xi``) as keywords
+SCALAR_OBSERVABLES = {
+    "purity": core.purity,
+    "entropy": spectral.entropy,
+    "variance": core.variance,
+    "cf": core.characteristic_function,
+}
+
+#: most nodes a time grid may have; the largest benchmark grid has 401
+MAX_GRID_NODES = 10**6
 
 #: printf-style format of every float cell: 17 significant digits round-trip
 FLOAT_FMT = "%.17g"
@@ -49,8 +61,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((b - a) / step)) + 1
-    return a + step * np.arange(count)
+    span = (b - a) / step
+    if not span + 1 <= MAX_GRID_NODES:
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_NODES} nodes")
+    return a + step * np.arange(int(round(span)) + 1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -65,24 +79,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _load_config(path: str | None) -> dict:
-    defaults = {"eps_tail": 1e-14, "quad_nodes": 256, "k_nodes": 256}
-    if path is None:
-        return defaults
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in defaults:
-            raise ValueError(f"unknown config key {key!r}")
-        caster = int if key in ("quad_nodes", "k_nodes") else float
-        defaults[key] = caster(value.strip())
-    return defaults
+    """Parse a comma-separated r_D list into sorted values; empty is an error."""
+    values = sorted(float(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise ValueError("empty --rd-list")
+    return values
 
 
 def _physical_given(args) -> bool:
@@ -123,87 +124,58 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
-def _write_manifest(out_path: str, command: str, settings: dict, elapsed: float) -> None:
-    manifest = {
-        "command": command,
-        "settings": settings,
-        "outputs": [out_path],
-        "tool_version": __version__,
-        "wall_clock_seconds": elapsed,
-    }
-    Path(out_path + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+def _write_json(out_path: str | None, payload: dict) -> None:
+    """Write ``payload`` as indented JSON to ``out_path``, or to stdout."""
+    text = json.dumps(payload, indent=2)
+    if out_path:
+        Path(out_path).write_text(text + "\n")
+    else:
+        print(text)
 
 
-def _profile_rows(
-    tprime: float, r_d: float, s_lo: int, s_hi: int, eps_tail: float
-) -> list[tuple]:
-    p = ModelParams(tprime=tprime, r_d=r_d)
-    trunc = core.truncation_for(p, eps_tail)
+def _profile_rows(t_values, rd_values, s_lo: int, s_hi: int, eps_tail: float) -> list[tuple]:
+    """Rows (t, r_d, s, P_s) over r_D (outer) and t (inner)."""
     sites = np.arange(s_lo, s_hi + 1)
-    probs = core.probability_profile(sites, p, trunc)
-    return list(zip(repeat(float(tprime)), repeat(float(r_d)), sites.tolist(), probs.tolist()))
+    site_list = sites.tolist()
+    rows = []
+    for r_d in rd_values:
+        for t in t_values:
+            p = ModelParams(tprime=float(t), r_d=float(r_d))
+            probs = core.probability_profile(sites, p, core.truncation_for(p, eps_tail))
+            rows += zip(repeat(p.tprime), repeat(p.r_d), site_list, probs.tolist())
+    return rows
 
 
-def cmd_prob(args, config) -> int:
-    start = time.perf_counter()
+def cmd_prob(args):
     s_lo, s_hi = _parse_range(args.s_range)
     if args.rd_list is not None:
         if args.rd is not None or _physical_given(args):
             raise ValueError("--rd-list replaces --rd and the physical-unit flags")
         if args.tprime is None:
             raise ValueError("--rd-list requires --tprime")
-        tprime, rd_values = args.tprime, sorted(_parse_list(args.rd_list))
-        if not rd_values:
-            raise ValueError("empty --rd-list")
+        tprime, rd_values = args.tprime, _parse_list(args.rd_list)
     else:
         p = _params_from_args(args)
         tprime, rd_values = p.tprime, [p.r_d]
-    rows = []
-    for r_d in rd_values:
-        rows += _profile_rows(tprime, r_d, s_lo, s_hi, config["eps_tail"])
-    _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
-    _write_manifest(
-        args.out,
-        "prob",
-        {
-            "s_range": args.s_range,
-            "rd_list": rd_values,
-            "tprime": tprime,
-            "eps_tail": config["eps_tail"],
-        },
-        time.perf_counter() - start,
-    )
-    return 0
+    rows = _profile_rows([tprime], rd_values, s_lo, s_hi, args.eps_tail)
+    settings = {"s_range": args.s_range, "rd_list": rd_values, "tprime": tprime,
+                "eps_tail": args.eps_tail}
+    return ["t", "r_d", "s", "p"], rows, settings
 
 
-def cmd_carpet(args, config) -> int:
-    start = time.perf_counter()
+def cmd_carpet(args):
     s_lo, s_hi = _parse_range(args.s_range)
-    rows = []
-    for t in _parse_grid(args.t_grid):
-        rows += _profile_rows(float(t), args.rd, s_lo, s_hi, config["eps_tail"])
-    _write_csv(args.out, ["t", "r_d", "s", "p"], rows)
-    _write_manifest(
-        args.out,
-        "carpet",
-        {
-            "t_grid": args.t_grid,
-            "rd": args.rd,
-            "s_range": args.s_range,
-            "eps_tail": config["eps_tail"],
-        },
-        time.perf_counter() - start,
-    )
-    return 0
+    rows = _profile_rows(_parse_grid(args.t_grid), [args.rd], s_lo, s_hi, args.eps_tail)
+    settings = {"t_grid": args.t_grid, "rd": args.rd, "s_range": args.s_range,
+                "eps_tail": args.eps_tail}
+    return ["t", "r_d", "s", "p"], rows, settings
 
 
-def cmd_wigner(args, config) -> int:
-    start = time.perf_counter()
+def cmd_wigner(args):
     s_lo, s_hi = _parse_range(args.s_range)
     p = _params_from_args(args)
-    n_k = args.k_nodes if args.k_nodes is not None else config["k_nodes"]
-    trunc = core.truncation_for(p, config["eps_tail"])
-    grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(n_k), trunc)
+    trunc = core.truncation_for(p, args.eps_tail)
+    grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(args.k_nodes), trunc)
     w_max = float(grid.values.max())
     k_nodes = grid.k_nodes.tolist()
     rows = [
@@ -211,68 +183,33 @@ def cmd_wigner(args, config) -> int:
         for s, w_row in zip(grid.sites.tolist(), grid.values.tolist())
         for k, w in zip(k_nodes, w_row)
     ]
-    _write_csv(args.out, ["t", "r_d", "s", "k", "w", "w_normalized"], rows)
-    _write_manifest(
-        args.out,
-        "wigner",
-        {
-            "s_range": args.s_range,
-            "k_nodes": n_k,
-            "tprime": p.tprime,
-            "rd": p.r_d,
-            "eps_tail": config["eps_tail"],
-        },
-        time.perf_counter() - start,
-    )
-    return 0
+    settings = {"s_range": args.s_range, "k_nodes": args.k_nodes, "tprime": p.tprime,
+                "rd": p.r_d, "eps_tail": args.eps_tail}
+    return ["t", "r_d", "s", "k", "w", "w_normalized"], rows, settings
 
 
-def cmd_scalar(name: str, args, config) -> int:
-    start = time.perf_counter()
+def cmd_scalar(args):
     t_values = _parse_grid(args.t_grid)
-    rd_values = sorted(_parse_list(args.rd_list))
-    if not rd_values:
-        raise ValueError("empty --rd-list")
-    settings = {"t_grid": args.t_grid, "rd_list": rd_values}
-    if name == "purity":
-        value = core.purity
-    elif name == "entropy":
-        settings["eps_tail"] = config["eps_tail"]
-        value = partial(spectral.entropy, eps_tail=config["eps_tail"])
-    elif name == "variance":
-        value = core.variance
-    else:
-        settings["xi"] = args.xi
-        value = partial(core.characteristic_function, args.xi)
+    rd_values = _parse_list(args.rd_list)
+    flags = {key: getattr(args, key) for key in ("eps_tail", "xi") if hasattr(args, key)}
+    value = partial(SCALAR_OBSERVABLES[args.command], **flags)
     rows = [
-        (float(t), float(r), value(ModelParams(tprime=float(t), r_d=float(r))))
+        (float(t), float(r), value(p=ModelParams(tprime=float(t), r_d=float(r))))
         for r in rd_values
         for t in t_values
     ]
-    _write_csv(args.out, ["t", "r_d", "value"], rows)
-    _write_manifest(args.out, name, settings, time.perf_counter() - start)
-    return 0
+    return ["t", "r_d", "value"], rows, {"t_grid": args.t_grid, "rd_list": rd_values, **flags}
 
 
-def cmd_critical_rd(args, config) -> int:
+def cmd_critical_rd(args) -> int:
     value = wigner.critical_rd(args.t_star, args.lo, args.hi, args.tol)
-    payload = json.dumps(
-        {"r_d_c": value, "t_star": args.t_star, "tol": args.tol}, indent=2
-    )
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+    _write_json(args.out, {"r_d_c": value, "t_star": args.t_star, "tol": args.tol})
     return 0
 
 
-def cmd_validate(args, config) -> int:
-    report = validate.run_checks(args.level, quad_nodes=config["quad_nodes"])
-    payload = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+def cmd_validate(args) -> int:
+    report = validate.run_checks(args.level, quad_nodes=args.quad_nodes)
+    _write_json(args.out, report)
     return 0 if report["passed"] else 2
 
 
@@ -309,8 +246,8 @@ def _add_param_flags(parser) -> None:
 
 def _add_series_flags(parser) -> None:
     """Flags of the commands that truncate a Bessel series."""
-    parser.add_argument("--eps-tail", type=float, help="series tail tolerance")
-    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--eps-tail", type=float, default=bessel.EPS_TAIL_DEFAULT,
+                        help="series tail tolerance")
     parser.add_argument("--jobs", type=_one_job, help="worker processes; only 1")
 
 
@@ -328,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
     _add_series_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_prob)
 
     p = sub.add_parser("carpet", help="probability over a time grid")
     p.add_argument("--rd", type=float, required=True, help="dissipation ratio r_D")
@@ -335,13 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
     _add_series_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_carpet)
 
     p = sub.add_parser("wigner", help="Wigner phase-space grid")
     _add_param_flags(p)
     p.add_argument("--s-range", dest="s_range", required=True, help="lo:hi")
-    p.add_argument("--k-nodes", dest="k_nodes", type=int, help="momentum nodes")
+    p.add_argument("--k-nodes", dest="k_nodes", type=int, default=wigner.K_NODES_DEFAULT,
+                   help="momentum nodes")
     _add_series_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_wigner)
 
     for name in SCALAR_OBSERVABLES:
         p = sub.add_parser(name, help=f"{name} over a (t', r_D) grid")
@@ -352,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "entropy":
             _add_series_flags(p)
         p.add_argument("--out", required=True, help="output CSV path")
+        p.set_defaults(run=cmd_scalar)
 
     p = sub.add_parser("critical-rd", help="quantum-classical threshold by bisection")
     p.add_argument("--t-star", dest="t_star", type=float, default=1.9)
@@ -359,39 +301,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=2.0)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", help="write JSON here instead of stdout")
+    p.set_defaults(run=cmd_critical_rd)
 
     p = sub.add_parser("validate", help="run the self-validation suite")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.add_argument("--out", help="write JSON report here instead of stdout")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--quad-nodes", type=int, help="quadrature nodes per axis")
+    p.add_argument("--quad-nodes", type=int, default=fourier.NODES_DEFAULT,
+                   help="quadrature nodes per axis")
+    p.set_defaults(run=cmd_validate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-        for key in ("eps_tail", "quad_nodes"):
-            override = getattr(args, key, None)
-            if override is not None:
-                config[key] = override
-
-        if args.command == "prob":
-            return cmd_prob(args, config)
-        if args.command == "carpet":
-            return cmd_carpet(args, config)
-        if args.command == "wigner":
-            return cmd_wigner(args, config)
-        if args.command in SCALAR_OBSERVABLES:
-            return cmd_scalar(args.command, args, config)
-        if args.command == "critical-rd":
-            return cmd_critical_rd(args, config)
-        if args.command == "validate":
-            return cmd_validate(args, config)
-        raise ValueError(f"unknown command {args.command!r}")
+        start = time.perf_counter()
+        result = args.run(args)
+        if isinstance(result, int):  # a JSON command's exit code
+            return result
+        header, rows, settings = result
+        _write_csv(args.out, header, rows)
+        manifest = {
+            "command": args.command,
+            "settings": settings,
+            "outputs": [args.out],
+            "tool_version": __version__,
+            "wall_clock_seconds": time.perf_counter() - start,
+        }
+        _write_json(args.out + ".manifest.json", manifest)
+        return 0
     except (BracketError, NumericalError, QuadratureLimitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

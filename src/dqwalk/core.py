@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 from .bessel import (
+    EPS_TAIL_DEFAULT,
     SeriesTruncation,
     bessel_i_scaled_orders,
     bessel_j_orders,
@@ -64,10 +65,8 @@ class ModelParams:
         return cls(tprime=omega_over_hbar * t, r_d=2.0 * d_coeff / omega_over_hbar)
 
 
-def truncation_for(p: ModelParams, eps_tail: float | None = None) -> SeriesTruncation:
+def truncation_for(p: ModelParams, eps_tail: float = EPS_TAIL_DEFAULT) -> SeriesTruncation:
     """Truncation order suited to the Bessel sums at these parameters."""
-    if eps_tail is None:
-        return truncation_order(p.tprime, p.x)
     return truncation_order(p.tprime, p.x, eps_tail)
 
 
@@ -95,13 +94,7 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
 
 def probability(s: int, p: ModelParams, trunc: SeriesTruncation) -> float:
     """Probability of finding the walker at site s."""
-    check_truncation(trunc, p.tprime, p.x)
-    if p.tprime == 0.0 and p.r_d == 0.0:
-        return 1.0 if s == 0 else 0.0
-    n = trunc.orders()
-    j = bessel_j_orders(s + n, p.tprime)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    return float(np.sum(j * j * i_row))
+    return float(probability_profile(np.array([s]), p, trunc)[0])
 
 
 def probability_profile(

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from . import core, fourier, spectral, wigner
+from .bessel import bessel_i_scaled_orders
 from .core import ModelParams
 
 FAST_PARAM_SETS = [(1.0, 0.0), (4.0, 0.5), (8.0, 2.0), (10.0, 10.0)]
@@ -28,7 +29,7 @@ def _record(name: str, value: float, tolerance: float, **extra) -> dict:
     return rec
 
 
-def check_oracle_equivalence(quad_nodes: int = 256) -> list[dict]:
+def check_oracle_equivalence(quad_nodes: int = fourier.NODES_DEFAULT) -> list[dict]:
     """Max series-vs-quadrature deviation over s1, s2 in [-20, 20]."""
     records = []
     sites = np.arange(-20, 21)
@@ -63,13 +64,13 @@ def check_normalization_hermiticity() -> list[dict]:
     return records
 
 
-def check_wigner_marginals(k_nodes: int = 256) -> list[dict]:
+def check_wigner_marginals() -> list[dict]:
     records = []
     for tprime, r_d in [(2.0, 0.3), (10.0, 1.0)]:
         p = ModelParams(tprime=tprime, r_d=r_d)
         half, _ = spectral.window_half_width(p)
         trunc = core.truncation_for(p)
-        grid = wigner.wigner_grid(-half, half, p, wigner.k_grid(k_nodes), trunc)
+        grid = wigner.wigner_grid(-half, half, p, wigner.k_grid(), trunc)
         probs = core.probability_profile(grid.sites, p, trunc)
         dev_a = float(np.abs(wigner.position_marginal(grid) - probs).max())
         dev_b = float(
@@ -118,9 +119,21 @@ def check_asymptotic_entropy() -> list[dict]:
     return [_record("asymptotic_entropy_agreement(t'=100,r_d=0.005)", rel, 1e-9)]
 
 
-def run_checks(level: str = "fast", quad_nodes: int = 256) -> dict:
-    """Run the validation suite; level 'full' adds the slow comparison of
-    the exact-spectrum entropy with the windowed eigensolve."""
+def check_skellam_spectrum() -> list[dict]:
+    """Leading eigenvalues of the density window against the sorted
+    Skellam weights e^{-x} I_n(x), the exact spectrum ``spectral.entropy``
+    sums over."""
+    p = ModelParams(tprime=12.0, r_d=0.25)
+    vals = spectral.eigen_spectrum(spectral.build_window(p)).eigenvalues[:20]
+    weights = np.sort(bessel_i_scaled_orders(np.arange(-30, 31), p.x))[::-1][:20]
+    dev = float(np.abs(vals - weights).max())
+    return [_record("skellam_spectrum(t'=12,r_d=0.25)", dev, 1e-12)]
+
+
+def run_checks(level: str = "fast", quad_nodes: int = fourier.NODES_DEFAULT) -> dict:
+    """Run the validation suite; level 'full' adds the windowed-eigensolve
+    checks of the exact spectrum: its entropy (slow) and its leading
+    eigenvalues."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     start = time.perf_counter()
@@ -132,6 +145,7 @@ def run_checks(level: str = "fast", quad_nodes: int = 256) -> dict:
     records += check_convolution_identity()
     if level == "full":
         records += check_asymptotic_entropy()
+        records += check_skellam_spectrum()
     return {
         "level": level,
         "checks": records,

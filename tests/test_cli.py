@@ -8,7 +8,6 @@ from dqwalk import core, spectral
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
     _fmt,
-    _load_config,
     _parse_grid,
     _parse_list,
     _parse_range,
@@ -40,7 +39,10 @@ class TestHelpers:
 
     def test_parse_grid(self):
         assert np.allclose(_parse_grid("0:1:0.25"), [0.0, 0.25, 0.5, 0.75, 1.0])
-        for bad in ["0:1", "1:0:0.5", "0:1:0", "0:1:-1", "0:inf:1", "nan:1:1", "0:1:inf"]:
+        for bad in [
+            "0:1", "1:0:0.5", "0:1:0", "0:1:-1", "0:inf:1", "nan:1:1", "0:1:inf",
+            "0:1e300:1e-300", "0:1e12:1",
+        ]:
             with pytest.raises(ValueError):
                 _parse_grid(bad)
 
@@ -53,20 +55,6 @@ class TestHelpers:
 
     def test_parse_list(self):
         assert _parse_list("0, 0.5,2") == [0.0, 0.5, 2.0]
-
-    def test_config_defaults_and_overrides(self, tmp_path):
-        assert _load_config(None)["quad_nodes"] == 256
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eps_tail = 1e-10  # looser\nquad_nodes = 128\n")
-        loaded = _load_config(str(cfg))
-        assert loaded["eps_tail"] == 1e-10
-        assert loaded["quad_nodes"] == 128
-        for removed in ("bogus = 1\n", "mass_tol = 1e-10\n"):
-            cfg.write_text(removed)
-            with pytest.raises(ValueError):
-                _load_config(str(cfg))
-            argv = ["entropy", "--t-grid", "1:2:1", "--rd-list", "0.5", "--config", str(cfg)]
-            assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
 
 
 class TestWriteCsv:
@@ -287,6 +275,8 @@ class TestValidateCommand:
             r for r in report["checks"] if r["name"].startswith("asymptotic_entropy_agreement")
         ]
         assert len(entropy_check) == 1 and entropy_check[0]["value"] <= 1e-9
+        skellam = [r for r in report["checks"] if r["name"].startswith("skellam_spectrum")]
+        assert len(skellam) == 1 and skellam[0]["value"] < 1e-12
 
 
 #: a valid invocation of every CSV command, without ``--out``
@@ -308,6 +298,7 @@ REMOVED_FLAGS = [
         for command in ("purity", "variance", "cf")
         for flag in ("--eps-tail", "--config", "--jobs")
     ],
+    *[(command, "--config") for command in ("prob", "carpet", "wigner", "entropy")],
     *[("carpet", flag) for flag in PARAM_FLAGS if flag != "--rd"],
     *[
         (command, flag)
@@ -322,6 +313,7 @@ USAGE_ERRORS = {
     "jobs-neg": EPS_TAIL_ARGV["prob"] + ["--jobs", "-3"],
     "unknown-flag": EPS_TAIL_ARGV["prob"] + ["--bogus", "3"],
     "bad-choice": ["validate", "--level", "nope"],
+    "validate-config": ["validate", "--config", "x"],
     "carpet-no-rd": ["carpet", "--t-grid", "1:2:1", "--s-range=-2:2"],
     "prefix": ["carpet", "--rd", "0.5", "--t-gr", "1:2:1", "--s-range=-2:2"],
 }
@@ -341,10 +333,34 @@ CONFLICTS = {
 }
 
 
+#: manifest ``settings`` keys of every CSV command
+SETTINGS_KEYS = {
+    "prob": ["s_range", "rd_list", "tprime", "eps_tail"],
+    "carpet": ["t_grid", "rd", "s_range", "eps_tail"],
+    "wigner": ["s_range", "k_nodes", "tprime", "rd", "eps_tail"],
+    "purity": ["t_grid", "rd_list"],
+    "entropy": ["t_grid", "rd_list", "eps_tail"],
+    "variance": ["t_grid", "rd_list"],
+    "cf": ["t_grid", "rd_list", "xi"],
+}
+
+
 class TestRejectedFlags:
     @pytest.mark.parametrize("command", sorted(BASE_ARGV))
     def test_base_invocation_runs(self, command, tmp_path):
         assert main(BASE_ARGV[command] + ["--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_manifest_settings_and_defaults(self, command, tmp_path):
+        argv = [a for a in BASE_ARGV[command] if a not in ("--k-nodes", "5")]  # the default
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        settings = manifest["settings"]
+        assert list(settings) == SETTINGS_KEYS[command]
+        if "eps_tail" in settings:
+            assert settings["eps_tail"] == 1e-14
+        if command == "wigner":
+            assert settings["k_nodes"] == 256
 
     @pytest.mark.parametrize(
         "command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS]
