@@ -28,14 +28,18 @@ from . import __version__, bessel, core, fourier, spectral, validate, wigner
 from .core import ModelParams
 from .exceptions import BracketError, NumericalError, QuadratureLimitError
 
-#: library function behind each scalar command; it is called with ``p=`` and
-#: with the command's own flags (``eps_tail`` or ``xi``) as keywords
+#: (module, function name) behind each scalar command, looked up when the
+#: command runs; the function is called with ``p=`` and with the command's
+#: own flags (``eps_tail`` or ``xi``) as keywords
 SCALAR_OBSERVABLES = {
-    "purity": core.purity,
-    "entropy": spectral.entropy,
-    "variance": core.variance,
-    "cf": core.characteristic_function,
+    "purity": (core, "purity"),
+    "entropy": (spectral, "entropy"),
+    "variance": (core, "variance"),
+    "cf": (core, "characteristic_function"),
 }
+
+#: how every CSV was computed, recorded in its manifest
+NUMERICS = {"bessel": "miller-recurrence", "numpy": np.__version__}
 
 #: most nodes a time grid may have; the largest benchmark grid has 401
 MAX_GRID_NODES = 10**6
@@ -192,7 +196,8 @@ def cmd_scalar(args):
     t_values = _parse_grid(args.t_grid)
     rd_values = _parse_list(args.rd_list)
     flags = {key: getattr(args, key) for key in ("eps_tail", "xi") if hasattr(args, key)}
-    value = partial(SCALAR_OBSERVABLES[args.command], **flags)
+    module, name = SCALAR_OBSERVABLES[args.command]
+    value = partial(getattr(module, name), **flags)
     rows = [
         (float(t), float(r), value(p=ModelParams(tprime=float(t), r_d=float(r))))
         for r in rd_values
@@ -327,6 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             "settings": settings,
             "outputs": [args.out],
             "tool_version": __version__,
+            "numerics": NUMERICS,
             "wall_clock_seconds": time.perf_counter() - start,
         }
         _write_json(args.out + ".manifest.json", manifest)

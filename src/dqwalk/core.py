@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bessel import (
     EPS_TAIL_DEFAULT,
     SeriesTruncation,
     bessel_i_scaled_orders,
+    bessel_i_scaled_row,
     bessel_j_orders,
+    bessel_j_row,
     check_truncation,
     truncation_order,
 )
@@ -88,8 +89,7 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
     n = trunc.orders()
     j1 = bessel_j_orders(s1 + n, p.tprime)
     j2 = bessel_j_orders(s2 + n, p.tprime)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    return i_power(s1 - s2) * float(np.sum(j1 * j2 * i_row))
+    return i_power(s1 - s2) * float(np.sum(j1 * j2 * trunc.weights))
 
 
 def probability(s: int, p: ModelParams, trunc: SeriesTruncation) -> float:
@@ -104,7 +104,8 @@ def probability_profile(
 
     The series is evaluated as one discrete correlation: with the row
     ``J_m(t')^2`` over orders m = s_min - n_max .. s_max + n_max and the
-    weights ``w_n = e^{-x} I_n(x)``, ``P_s = sum_n J_{s+n}^2 w_n`` is entry
+    weights ``w_n = e^{-x} I_n(x)`` of the truncation,
+    ``P_s = sum_n J_{s+n}^2 w_n`` is entry
     s - s_min of ``correlate(row, w, "valid")``.  The terms summed are those
     of :func:`probability`, all non-negative, so deep-tail values keep their
     relative accuracy; memory is O(sites + orders).
@@ -116,8 +117,7 @@ def probability_profile(
     s_min, s_max = int(s_values.min()), int(s_values.max())
     m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
     j = bessel_j_orders(m, p.tprime)
-    i_row = bessel_i_scaled_orders(trunc.orders(), p.x)
-    return np.correlate(j * j, i_row, "valid")[s_values - s_min]
+    return np.correlate(j * j, trunc.weights, "valid")[s_values - s_min]
 
 
 def probability_qw(s: int, tprime: float) -> float:
@@ -135,7 +135,7 @@ def probability_crw(s: int, x: float) -> float:
 
 def purity(p: ModelParams) -> float:
     """Tr rho^2 = e^{-4Dt} I_0(4Dt), evaluated in scaled form."""
-    return float(special.ive(0, 2.0 * p.x))
+    return float(bessel_i_scaled_row(0, 2.0 * p.x)[0])
 
 
 def characteristic_function(xi: float, p: ModelParams) -> float:
@@ -147,9 +147,10 @@ def characteristic_function(xi: float, p: ModelParams) -> float:
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
+    # J_0 is even, so its row is taken at |2 t' sin(xi/2)|
     return float(
         math.exp(-p.x * (1.0 - math.cos(xi)))
-        * special.jv(0, 2.0 * p.tprime * math.sin(0.5 * xi))
+        * bessel_j_row(0, abs(2.0 * p.tprime * math.sin(0.5 * xi)))[0]
     )
 
 

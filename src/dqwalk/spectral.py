@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (
-    EPS_TAIL_DEFAULT,
-    bessel_i_scaled_orders,
-    bessel_i_scaled_row,
-    bessel_j_orders,
-    truncation_order,
-)
+from .bessel import EPS_TAIL_DEFAULT, bessel_j_orders, truncation_order
 from .core import I_POWERS, ModelParams, probability_profile, truncation_for
 from .exceptions import NumericalError
 
@@ -105,8 +99,7 @@ def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityW
     n = trunc.orders()
     s = np.arange(-half, half + 1)
     a = bessel_j_orders(s[:, None] + n[None, :], p.tprime)
-    i_row = bessel_i_scaled_orders(n, p.x)
-    real_part = (a * i_row) @ a.T
+    real_part = (a * trunc.weights) @ a.T
     real_part = 0.5 * (real_part + real_part.T)  # exact Hermiticity
     phase = I_POWERS[(s[:, None] - s[None, :]) % 4]
     return DensityWindow(
@@ -184,10 +177,10 @@ def entropy(p: ModelParams, eps_tail: float = EPS_TAIL_DEFAULT) -> float:
     using the symmetry w_{-n} = w_n.
     """
     # truncate before the x = 0 shortcut, so a bad eps_tail is rejected there too
-    n_max = truncation_order(0.0, p.x, eps_tail).n_max
+    trunc = truncation_order(0.0, p.x, eps_tail)
     if p.x == 0.0:
         return 0.0
-    w = bessel_i_scaled_row(n_max, p.x)
+    w = trunc.weights[trunc.n_max :]
     w = w[w > 0.0]
     terms = w * np.log(w)
     return float(-(terms[0] + 2.0 * terms[1:].sum()))
@@ -210,65 +203,3 @@ def entropy_small_dissipation(p: ModelParams) -> float:
     if x == 0.0:
         return 0.0
     return -x * math.log(x)
-
-
-def asymptotic_eigenvalues(L: int, p: ModelParams) -> tuple[float, float]:
-    """The two non-null eigenvalues of the long-time L x L structure matrix.
-
-    For r_d = 0 there is a single non-null eigenvalue
-    (2 / pi t')(L - sin 2t') and the second slot is zero.  For large L the
-    normalized pair reduces to the weights (1 +/- e^{-2x}) / 2.
-
-    The pair belongs to the quarantined stationary-phase structure matrix
-    of :func:`asymptotic_density_element`, not to the spectrum of rho(t):
-    that spectrum is the full Skellam pmf e^{-x} I_n(x) (see
-    :func:`entropy`).
-    """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if p.tprime == 0.0:
-        raise ValueError("asymptotic eigenvalues undefined at tprime = 0")
-    prefactor = 2.0 / (math.pi * p.tprime)
-    base = L - math.sin(2.0 * p.tprime)
-    if p.r_d == 0.0:
-        return prefactor * base, 0.0
-    u = math.exp(-2.0 * p.x)  # e^{-4Dt}
-    root = math.sqrt(
-        1.0
-        + (L * L - 1.0) * u * u
-        - 2.0 * L * u * math.sin(2.0 * p.tprime)
-        + u * u * math.sin(2.0 * p.tprime) ** 2
-    )
-    return prefactor * (base + root), prefactor * (base - root)
-
-
-def asymptotic_density_element(
-    s1: int, s2: int, p: ModelParams, *, diagnostic: bool = False
-) -> complex:
-    """Long-time stationary-phase density element (diagnostic only).
-
-    The window has the binary structure {A, +/- iB}: A on even index
-    differences, an alternating pure-imaginary iB pattern on odd ones, with
-
-        A = (2 / pi t')(1 - sin(2t') e^{-2x}),
-        B = (2 / pi t') cos(2t') e^{-2x}.
-
-    The printed stationary-phase prefactor is inconsistent with the exact
-    series at order one, so this evaluator is quarantined: callers must opt
-    in with ``diagnostic=True``.  The spectrum of rho(t) comes from the
-    exact Skellam weights in :func:`entropy`, not from this
-    matrix.
-    """
-    if not diagnostic:
-        raise ValueError(
-            "asymptotic_density_element is a diagnostic; pass diagnostic=True"
-        )
-    if p.tprime == 0.0:
-        raise ValueError("asymptotic form undefined at tprime = 0")
-    prefactor = 2.0 / (math.pi * p.tprime)
-    u = math.exp(-2.0 * p.x)
-    if (s1 - s2) % 2 == 0:
-        return complex(prefactor * (1.0 - math.sin(2.0 * p.tprime) * u))
-    b = prefactor * math.cos(2.0 * p.tprime) * u
-    sign = 1.0 if s1 % 2 == 0 else -1.0
-    return complex(0.0, sign * b)

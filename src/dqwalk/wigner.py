@@ -65,8 +65,8 @@ def wigner_row(
 
     Evaluated, like :func:`dqwalk.core.probability_profile`, as one
     discrete correlation of the row ``J_{2m}(z)`` over m = s_min - n_max ..
-    s_max + n_max with the weights ``e^{-x} I_n(x)``; no sites x orders
-    array is formed.
+    s_max + n_max with the weights ``e^{-x} I_n(x)`` of the truncation; no
+    sites x orders array is formed.
     """
     _check_k(k)
     check_truncation(trunc, p.tprime, p.x)
@@ -79,8 +79,7 @@ def wigner_row(
     z = abs(2.0 * p.tprime * math.sin(0.5 * k))
     m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
     j = bessel_j_orders(2 * m, z)
-    i_row = bessel_i_scaled_orders(trunc.orders(), p.x)
-    return np.correlate(j, i_row, "valid")[s_values - s_min] / TWO_PI
+    return np.correlate(j, trunc.weights, "valid")[s_values - s_min] / TWO_PI
 
 
 def wigner_value(s: int, k: float, p: ModelParams, trunc: SeriesTruncation) -> float:
@@ -113,8 +112,7 @@ def wigner_convolution(
     n = trunc.orders()
     z = abs(2.0 * p.tprime * math.sin(0.5 * k))
     j = bessel_j_orders(2 * (s - n), z) / TWO_PI
-    i_row = bessel_i_scaled_orders(n, p.x) / TWO_PI
-    return TWO_PI * float(np.sum(j * i_row))
+    return TWO_PI * float(np.sum(j * (trunc.weights / TWO_PI)))
 
 
 def wigner_from_density(s: int, k: float, window) -> float:

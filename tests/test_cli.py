@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqwalk
 from dqwalk import core, spectral
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
@@ -240,6 +245,28 @@ class TestScalarCommands:
         code = main(["entropy", "--t-grid", "0:1:1", "--rd-list", " ", "--out", str(tmp_path / "e.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("command,module,name", [
+        ("purity", core, "purity"),
+        ("entropy", spectral, "entropy"),
+        ("variance", core, "variance"),
+        ("cf", core, "characteristic_function"),
+    ])
+    def test_function_looked_up_when_the_command_runs(
+        self, command, module, name, tmp_path, monkeypatch
+    ):
+        # a wrapper installed after import (as a tracer does) is the one called
+        seen = []
+        original = getattr(module, name)
+
+        def spy(**kwargs):
+            seen.append(kwargs["p"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        out = tmp_path / "s.csv"
+        assert main([command, "--t-grid", "1:2:1", "--rd-list", "0.5", "--out", str(out)]) == 0
+        assert [p.tprime for p in seen] == [1.0, 2.0]
+
 
 class TestCriticalRdCommand:
     def test_json_output(self, tmp_path):
@@ -361,6 +388,7 @@ class TestRejectedFlags:
             assert settings["eps_tail"] == 1e-14
         if command == "wigner":
             assert settings["k_nodes"] == 256
+        assert manifest["numerics"] == {"bessel": "miller-recurrence", "numpy": np.__version__}
 
     @pytest.mark.parametrize(
         "command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS]
@@ -397,3 +425,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "I/O error" in capsys.readouterr().err
+
+
+NO_SCIPY_RUN = """
+import sys
+from dqwalk import cli
+
+out = sys.argv[1]
+for argv in [
+    ["carpet", "--rd", "0.5", "--t-grid", "0:4:1", "--s-range=-20:20"],
+    ["wigner", "--tprime", "5", "--rd", "1", "--s-range=-10:10", "--k-nodes", "9"],
+    ["entropy", "--t-grid", "1:3:1", "--rd-list", "0.1,1"],
+    ["purity", "--t-grid", "1:3:1", "--rd-list", "0.1,1"],
+    ["cf", "--t-grid", "1:3:1", "--rd-list", "0.1,1", "--xi", "0.7"],
+    ["validate", "--level", "fast"],
+]:
+    assert cli.main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: a fresh interpreter running the
+    commands never imports it."""
+    src = str(Path(dqwalk.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -8,8 +8,6 @@ from dqwalk.core import ModelParams, probability_profile, purity, truncation_for
 from dqwalk.exceptions import NumericalError
 from dqwalk.spectral import (
     MIN_HALF_WIDTH,
-    asymptotic_density_element,
-    asymptotic_eigenvalues,
     build_window,
     dephase_to_real,
     eigen_spectrum,
@@ -173,34 +171,3 @@ class TestAsymptotics:
         assert entropy_small_dissipation(ModelParams(0.0, 0.0)) == 0.0
         with pytest.warns(UserWarning):
             entropy_small_dissipation(ModelParams(10.0, 1.0))
-
-    def test_eigenvalue_pair_reduces_to_two_level_weights(self):
-        # large L: normalized pair -> (1 +/- e^{-2x}) / 2
-        p = ModelParams(200.0, 0.001)
-        L = 5000
-        hi, lo = asymptotic_eigenvalues(L, p)
-        u = math.exp(-2.0 * p.x)
-        assert hi / (hi + lo) == pytest.approx(0.5 * (1.0 + u), abs=1e-3)
-
-    def test_dissipation_free_pair(self):
-        hi, lo = asymptotic_eigenvalues(10, ModelParams(3.0, 0.0))
-        assert hi == pytest.approx((2.0 / (math.pi * 3.0)) * (10 - math.sin(6.0)))
-        assert lo == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            asymptotic_eigenvalues(0, ModelParams(1.0, 0.1))
-        with pytest.raises(ValueError):
-            asymptotic_eigenvalues(5, ModelParams(0.0, 0.1))
-
-    def test_structure_matrix_is_quarantined(self):
-        p = ModelParams(40.0, 0.01)
-        with pytest.raises(ValueError):
-            asymptotic_density_element(0, 0, p)
-        a = asymptotic_density_element(0, 0, p, diagnostic=True)
-        b = asymptotic_density_element(0, 1, p, diagnostic=True)
-        assert a.imag == 0.0
-        assert b.real == 0.0
-        # the odd-difference entries alternate in sign with the row parity
-        c = asymptotic_density_element(1, 2, p, diagnostic=True)
-        assert c == -b
