@@ -1,91 +1,10 @@
-"""Exact observables of a dissipative quantum walk on a 1D lattice."""
+"""Exact observables of a dissipative quantum walk on a 1D lattice.
+
+The top level carries the README quick start; the rest lives in its module.
+"""
 
 __version__ = "0.1.0"
 
-from .bessel import (
-    SeriesTruncation,
-    bessel_i_scaled_row,
-    bessel_j_row,
-    truncation_order,
-)
-from .core import (
-    ModelParams,
-    anderson_velocity,
-    characteristic_function,
-    density_element,
-    moment_via_cf,
-    probability,
-    probability_crw,
-    probability_profile,
-    probability_qw,
-    purity,
-    truncation_for,
-    variance,
-)
-from .fourier import (
-    QuadratureSpec,
-    density_element_quadrature,
-    momentum_diagonal,
-    propagator_exponent,
-)
-from .spectral import (
-    DensityWindow,
-    SpectrumResult,
-    build_window,
-    dephase_to_real,
-    eigen_spectrum,
-    entropy,
-    entropy_small_dissipation,
-    window_entropy,
-)
-from .wigner import (
-    WignerGrid,
-    critical_rd,
-    min_wigner_over_time,
-    wigner_convolution,
-    wigner_crw,
-    wigner_from_density,
-    wigner_grid,
-    wigner_qw,
-    wigner_value,
-)
+from .core import ModelParams, probability_profile, purity, truncation_for
 
-__all__ = [
-    "ModelParams",
-    "SeriesTruncation",
-    "QuadratureSpec",
-    "DensityWindow",
-    "SpectrumResult",
-    "WignerGrid",
-    "anderson_velocity",
-    "bessel_i_scaled_row",
-    "bessel_j_row",
-    "build_window",
-    "characteristic_function",
-    "critical_rd",
-    "density_element",
-    "density_element_quadrature",
-    "dephase_to_real",
-    "eigen_spectrum",
-    "entropy",
-    "entropy_small_dissipation",
-    "min_wigner_over_time",
-    "moment_via_cf",
-    "momentum_diagonal",
-    "probability",
-    "probability_crw",
-    "probability_profile",
-    "probability_qw",
-    "propagator_exponent",
-    "purity",
-    "truncation_for",
-    "truncation_order",
-    "variance",
-    "wigner_convolution",
-    "wigner_crw",
-    "wigner_from_density",
-    "wigner_grid",
-    "wigner_qw",
-    "wigner_value",
-    "window_entropy",
-]
+__all__ = ["ModelParams", "probability_profile", "purity", "truncation_for"]

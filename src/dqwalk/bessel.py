@@ -81,30 +81,26 @@ class SeriesTruncation:
     bounds the neglected scaled-I tail mass.  The (tprime, x) pair the
     truncation was built for is recorded so that downstream operations can
     reject a mismatched truncation instead of silently losing accuracy.
-    ``weights`` holds e^{-x} I_n(x) at every order of :meth:`orders`; it is
-    computed here when not given.
+    ``weights`` holds e^{-x} I_n(x) at every order of :meth:`orders`, from
+    the recurrence pass of :func:`truncation_order`.
     """
 
     n_max: int
     eps_tail: float
     tprime: float
     x: float
-    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if not self.eps_tail > 0:
             raise ValueError(f"eps_tail must be > 0, got {self.eps_tail}")
-        weights = self.weights
-        if weights is None:
-            weights = _symmetric(bessel_i_scaled_row(self.n_max, self.x))
-        elif weights.shape != (2 * self.n_max + 1,):
+        if self.weights.shape != (2 * self.n_max + 1,):
             raise ValueError(
-                f"weights must have shape ({2 * self.n_max + 1},), got {weights.shape}"
+                f"weights must have shape ({2 * self.n_max + 1},), got {self.weights.shape}"
             )
-        weights.setflags(write=False)  # shared by every caller of this truncation
-        object.__setattr__(self, "weights", weights)
+        self.weights.setflags(write=False)  # shared by every caller of this truncation
 
     def orders(self) -> np.ndarray:
         """All retained orders n = -n_max .. n_max."""
@@ -262,7 +258,8 @@ def scaled_i_tail(n_max: int, x: float) -> float:
 
     The neglected terms of the recurrence row are summed directly, so the
     result keeps its relative accuracy down to underflow; the complement
-    ``1 - (retained mass)`` would stop near 1e-16.
+    ``1 - (retained mass)`` would stop near 1e-16.  Kept as the oracle of
+    :func:`truncation_order`'s tail in ``tests/test_bessel.py``.
     """
     _check_row_args(n_max, x)
     return 2.0 * float(_scaled_i_pass(x)[n_max + 1 :].sum())
@@ -271,7 +268,7 @@ def scaled_i_tail(n_max: int, x: float) -> float:
 def truncation_order(
     tprime: float, x: float, eps_tail: float = EPS_TAIL_DEFAULT
 ) -> SeriesTruncation:
-    """Choose n_max so that both Bessel families are negligible beyond it.
+    """Choose n_max, the highest order kept in the bilateral Bessel sums.
 
     Starts from the heuristic
     ``n_max = ceil(max(x + 10*sqrt(x), tprime + 10*tprime^{1/3}) + 20)``
@@ -279,9 +276,15 @@ def truncation_order(
     ``eps_tail``.  The tail and the returned weight row come from one
     recurrence pass, which reaches the order where the terms fall below
     TINY, so growth ends there at the latest; an order above MAX_ORDER
-    raises ValueError.  The heuristic margin also
-    pushes past the turning point of J_m(tprime), so |J_m(tprime)| <
-    eps_tail for |m| > n_max + ceil(tprime).
+    raises ValueError.
+
+    The scaled-I tail alone bounds what every sum neglects (|J| <= 1); the
+    tprime term is for relative accuracy beyond the ballistic front.  A site
+    |s| > tprime draws its probability from orders n near |s| - tprime, and
+    the dropped |n| > n_max meet J of order one, so P_s keeps its relative
+    accuracy out to |s| of about tprime + n_max.  At (tprime, x) = (20, 10)
+    n_max = 68 keeps 1e-11 to |s| = 84; the tail alone gives 28, which loses
+    it from |s| = 34 (P = 3.3e-6).
     """
     for name, v in (("tprime", tprime), ("x", x), ("eps_tail", eps_tail)):
         if not math.isfinite(v):

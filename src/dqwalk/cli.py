@@ -44,6 +44,10 @@ NUMERICS = {"bessel": "miller-recurrence", "numpy": np.__version__}
 #: most nodes a time grid may have; the largest benchmark grid has 401
 MAX_GRID_NODES = 10**6
 
+#: most rows a CSV may have, checked before any array is built: a row costs
+#: 120-180 B of peak memory, so under 2 GB; the largest benchmark CSV has 120,701
+MAX_ROWS = 10**7
+
 #: printf-style format of every float cell: 17 significant digits round-trip
 FLOAT_FMT = "%.17g"
 
@@ -52,7 +56,14 @@ CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
+    """One cell as FLOAT_FMT; the per-value oracle of ``_write_csv`` in its tests."""
     return FLOAT_FMT % value
+
+
+def _check_rows(*axes: int) -> None:
+    """Reject an output of more than MAX_ROWS rows, the product of its axes."""
+    if (rows := math.prod(axes)) > MAX_ROWS:
+        raise ValueError(f"output would have {rows} rows, above {MAX_ROWS}")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -139,6 +150,7 @@ def _write_json(out_path: str | None, payload: dict) -> None:
 
 def _profile_rows(t_values, rd_values, s_lo: int, s_hi: int, eps_tail: float) -> list[tuple]:
     """Rows (t, r_d, s, P_s) over r_D (outer) and t (inner)."""
+    _check_rows(len(t_values), len(rd_values), s_hi - s_lo + 1)
     sites = np.arange(s_lo, s_hi + 1)
     site_list = sites.tolist()
     rows = []
@@ -177,6 +189,7 @@ def cmd_carpet(args):
 
 def cmd_wigner(args):
     s_lo, s_hi = _parse_range(args.s_range)
+    _check_rows(s_hi - s_lo + 1, args.k_nodes)
     p = _params_from_args(args)
     trunc = core.truncation_for(p, args.eps_tail)
     grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(args.k_nodes), trunc)
@@ -195,6 +208,7 @@ def cmd_wigner(args):
 def cmd_scalar(args):
     t_values = _parse_grid(args.t_grid)
     rd_values = _parse_list(args.rd_list)
+    _check_rows(t_values.size, len(rd_values))
     flags = {key: getattr(args, key) for key in ("eps_tail", "xi") if hasattr(args, key)}
     module, name = SCALAR_OBSERVABLES[args.command]
     value = partial(getattr(module, name), **flags)

@@ -71,16 +71,13 @@ def truncation_for(p: ModelParams, eps_tail: float = EPS_TAIL_DEFAULT) -> Series
     return truncation_order(p.tprime, p.x, eps_tail)
 
 
-def i_power(m: int) -> complex:
-    """Exact i^m from the residue of m mod 4."""
-    return complex(I_POWERS[m % 4])
-
-
 def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -> complex:
     """Matrix element <s1|rho(t)|s2> of the reduced density matrix.
 
     Hermitian by construction: the n-sum is real and the phase i^(s1-s2)
-    conjugates under index swap.
+    conjugates under index swap.  Kept as the term-by-term oracle of
+    :func:`dqwalk.spectral.build_window` and of the quadrature in
+    ``tests/test_fourier.py``.
     """
     check_truncation(trunc, p.tprime, p.x)
     if p.tprime == 0.0 and p.r_d == 0.0:
@@ -89,26 +86,22 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
     n = trunc.orders()
     j1 = bessel_j_orders(s1 + n, p.tprime)
     j2 = bessel_j_orders(s2 + n, p.tprime)
-    return i_power(s1 - s2) * float(np.sum(j1 * j2 * trunc.weights))
-
-
-def probability(s: int, p: ModelParams, trunc: SeriesTruncation) -> float:
-    """Probability of finding the walker at site s."""
-    return float(probability_profile(np.array([s]), p, trunc)[0])
+    return complex(I_POWERS[(s1 - s2) % 4]) * float(np.sum(j1 * j2 * trunc.weights))
 
 
 def probability_profile(
     s_values: np.ndarray, p: ModelParams, trunc: SeriesTruncation
 ) -> np.ndarray:
-    """Vectorized :func:`probability` over an integer site array.
+    """Probability P_s of finding the walker at each site of an integer array.
 
     The series is evaluated as one discrete correlation: with the row
     ``J_m(t')^2`` over orders m = s_min - n_max .. s_max + n_max and the
     weights ``w_n = e^{-x} I_n(x)`` of the truncation,
     ``P_s = sum_n J_{s+n}^2 w_n`` is entry
     s - s_min of ``correlate(row, w, "valid")``.  The terms summed are those
-    of :func:`probability`, all non-negative, so deep-tail values keep their
-    relative accuracy; memory is O(sites + orders).
+    of the diagonal of :func:`density_element`, all non-negative, so
+    deep-tail values keep their relative accuracy; memory is
+    O(sites + orders).
     """
     check_truncation(trunc, p.tprime, p.x)
     s_values = np.asarray(s_values, dtype=int)
@@ -121,7 +114,8 @@ def probability_profile(
 
 
 def probability_qw(s: int, tprime: float) -> float:
-    """Closed-system (D = 0) site probability, J_s(t')^2."""
+    """Closed-system (D = 0) site probability, J_s(t')^2; the r_D = 0 oracle
+    of :func:`probability_profile` in ``tests/test_core.py``."""
     if tprime < 0:
         raise ValueError(f"tprime must be >= 0, got {tprime}")
     j = bessel_j_orders(np.array([s]), tprime)[0]
@@ -129,7 +123,8 @@ def probability_qw(s: int, tprime: float) -> float:
 
 
 def probability_crw(s: int, x: float) -> float:
-    """Classical-random-walk site probability e^{-x} I_s(x), x = 2Dt."""
+    """Classical-random-walk site probability e^{-x} I_s(x), x = 2Dt; the
+    t' -> 0 oracle of :func:`probability_profile` in ``tests/test_core.py``."""
     return float(bessel_i_scaled_orders(np.array([s]), x)[0])
 
 
@@ -187,5 +182,12 @@ def moment_via_cf(order: int, p: ModelParams, h: float = 1e-3) -> float:
 
 
 def anderson_velocity() -> float:
-    """Ballistic front speed of the wave packet, 1/sqrt(2) sites per unit t'."""
+    """Spread rate sqrt(variance) / t' = 1/sqrt(2) sites per unit t' of the
+    dissipation-free walk.
+
+    This is the growth rate of the standard deviation, not the speed of the
+    ballistic front: the peaks of J_s(t')^2 sit near |s| = t' (s = +/-29 at
+    t' = 31.8, 0.91 per unit t'), so 1/sqrt(2) bounds the front speed from
+    below.
+    """
     return 1.0 / math.sqrt(2.0)

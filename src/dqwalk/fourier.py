@@ -26,6 +26,10 @@ TWO_PI = 2.0 * math.pi
 
 NODES_DEFAULT = 256
 
+#: most nodes per axis: the propagator matrix then holds 64 MB; the
+#: benchmark's output checks use 1024
+MAX_NODES = 2048
+
 #: the integrand oscillates with frequency ~ t'; below this many nodes per
 #: unit time the rule silently loses accuracy, so we refuse instead
 NODES_PER_TPRIME = 8
@@ -39,14 +43,9 @@ class QuadratureSpec:
     nodes_per_axis: int = NODES_DEFAULT
 
     def __post_init__(self):
-        if self.nodes_per_axis < 16:
-            raise ValueError(
-                f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}"
-            )
-        if self.nodes_per_axis % 2 != 0:
-            raise ValueError(
-                f"nodes_per_axis must be even, got {self.nodes_per_axis}"
-            )
+        n = self.nodes_per_axis
+        if not (16 <= n <= MAX_NODES and n % 2 == 0):
+            raise ValueError(f"nodes_per_axis must be even and in [16, {MAX_NODES}], got {n}")
 
     def nodes(self) -> np.ndarray:
         n = self.nodes_per_axis
@@ -56,13 +55,15 @@ class QuadratureSpec:
         return self.nodes_per_axis / NODES_PER_TPRIME
 
 
-def propagator_exponent(k1: float, k2: float, p: ModelParams) -> complex:
-    """F(k1, k2) per unit t'; Re F <= 0, and F = 0 on the diagonal."""
-    if not (math.isfinite(k1) and math.isfinite(k2)):
-        raise ValueError(f"k1, k2 must be finite, got ({k1}, {k2})")
-    return complex(
-        p.r_d * (math.cos(k1 - k2) - 1.0), math.cos(k1) - math.cos(k2)
-    )
+def propagator_exponent(
+    k1: float | np.ndarray, k2: float | np.ndarray, p: ModelParams
+) -> complex | np.ndarray:
+    """F(k1, k2) per unit t', elementwise over broadcast momentum arrays;
+    Re F <= 0, and F = 0 on the diagonal."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    if not (np.isfinite(k1).all() and np.isfinite(k2).all()):
+        raise ValueError("k1, k2 must be finite")
+    return p.r_d * (np.cos(k1 - k2) - 1.0) + 1j * (np.cos(k1) - np.cos(k2))
 
 
 def _check_ceiling(p: ModelParams, q: QuadratureSpec) -> None:
@@ -75,10 +76,7 @@ def _check_ceiling(p: ModelParams, q: QuadratureSpec) -> None:
 
 def _propagator_matrix(p: ModelParams, q: QuadratureSpec) -> np.ndarray:
     k = q.nodes()
-    f = 1j * (np.cos(k)[:, None] - np.cos(k)[None, :]) + p.r_d * (
-        np.cos(k[:, None] - k[None, :]) - 1.0
-    )
-    return np.exp(p.tprime * f)
+    return np.exp(p.tprime * propagator_exponent(k[:, None], k[None, :], p))
 
 
 def density_element_quadrature(
@@ -87,7 +85,8 @@ def density_element_quadrature(
     """<s1|rho(t)|s2> by double Brillouin-zone quadrature.
 
     Uses the full plane-wave phase e^{i(k1 s1 - k2 s2)}; no Bessel series
-    is involved anywhere on this route.
+    is involved anywhere on this route.  Kept as the one-element oracle of
+    :func:`dqwalk.core.density_element` in ``tests/test_fourier.py``.
     """
     _check_ceiling(p, q)
     k = q.nodes()
@@ -109,10 +108,3 @@ def density_block_quadrature(
     right = np.exp(-1j * np.outer(k, s_values))
     return (left @ mat @ right) / q.nodes_per_axis**2
 
-
-def momentum_diagonal(k: float, p: ModelParams) -> float:
-    """<k|rho(t)|k> = 1/2pi for all t: the momentum distribution of the
-    localized initial state never changes."""
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    return 1.0 / TWO_PI

@@ -5,8 +5,9 @@ The spectrum of rho(t) is exactly the Skellam weights e^{-x} I_n(x), so
 is kept as its oracle: the walk lives on an infinite lattice but stays
 inside a ballistic light cone, so a finite Hermitian window [-L, L]
 captures all but a controlled probability mass.  The window is
-diagonalized through an isospectral real symmetric form obtained by
-stripping the i^(s1-s2) phase with the unitary diag(i^s).
+diagonalized as the Hermitian matrix it is; :class:`DensityWindow` keeps
+the mass left outside it and :class:`SpectrumResult` the number of
+roundoff eigenvalues clamped to zero.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class DensityWindow:
 
     half_width: int
     elements: np.ndarray  # complex, (2L+1) x (2L+1), index = site + L
-    params: ModelParams
     truncated_mass: float
 
     @property
@@ -56,12 +56,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     clamped_count: int
-    renormalized: bool
-
-
-def _probability_row(p: ModelParams, s_hi: int) -> np.ndarray:
-    """P_s for s = 0..s_hi (the profile is reflection-symmetric)."""
-    return probability_profile(np.arange(0, s_hi + 1), p, truncation_for(p))
 
 
 def window_half_width(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> tuple[int, float]:
@@ -76,8 +70,9 @@ def window_half_width(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> tup
     guess = math.ceil(
         p.tprime + 6.0 * math.sqrt(p.x) + 10.0 * p.tprime ** (1.0 / 3.0) + 20.0
     )
+    trunc = truncation_for(p)
     while True:
-        probs = _probability_row(p, guess)
+        probs = probability_profile(np.arange(0, guess + 1), p, trunc)  # P_{-s} = P_s
         inside = np.concatenate(([probs[0]], probs[0] + 2.0 * np.cumsum(probs[1:])))
         deficits = 1.0 - inside  # deficits[L] = mass outside [-L, L]
         ok = np.flatnonzero(deficits < mass_tol)
@@ -91,8 +86,9 @@ def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityW
     """Materialize rho(t) on the mass-complete window.
 
     The fill is one matrix product: with A[s, n] = J_{s+n}(t') and the
-    scaled-I weights on the inner index, the dephased real form is
-    A diag(I~) A^T; the i^(s1-s2) phase is applied afterwards.
+    scaled-I weights on the inner index, the real part of rho with its
+    phase stripped is A diag(I~) A^T; the i^(s1-s2) phase is applied
+    afterwards.
     """
     half, lost = window_half_width(p, mass_tol)
     trunc = truncation_for(p)
@@ -102,24 +98,7 @@ def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityW
     real_part = (a * trunc.weights) @ a.T
     real_part = 0.5 * (real_part + real_part.T)  # exact Hermiticity
     phase = I_POWERS[(s[:, None] - s[None, :]) % 4]
-    return DensityWindow(
-        half_width=half,
-        elements=phase * real_part,
-        params=p,
-        truncated_mass=lost,
-    )
-
-
-def dephase_to_real(window: DensityWindow) -> np.ndarray:
-    """Real symmetric matrix isospectral to the window.
-
-    Conjugation by diag(i^s) removes the i^(s1-s2) phase exactly (the
-    phases are unit fourth roots, so the division is a sign/axis swap).
-    """
-    s = window.sites
-    phase = I_POWERS[(s[:, None] - s[None, :]) % 4]
-    stripped = window.elements * np.conj(phase)
-    return stripped.real
+    return DensityWindow(half_width=half, elements=phase * real_part, truncated_mass=lost)
 
 
 def eigen_spectrum(
@@ -130,9 +109,8 @@ def eigen_spectrum(
     Roundoff eigenvalues in [-eps_clamp, 0) are set to zero; anything more
     negative indicates a broken window and raises.
     """
-    real_sym = dephase_to_real(window)
     try:
-        vals = np.linalg.eigvalsh(real_sym)
+        vals = np.linalg.eigvalsh(window.elements)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     if vals[0] < -eps_clamp:
@@ -142,13 +120,14 @@ def eigen_spectrum(
     clamped = int(np.count_nonzero(vals < 0.0))
     vals = np.clip(vals, 0.0, None)
     vals = vals[::-1] / vals.sum()
-    return SpectrumResult(eigenvalues=vals, clamped_count=clamped, renormalized=True)
+    return SpectrumResult(eigenvalues=vals, clamped_count=clamped)
 
 
 def window_entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
     """von Neumann entropy -sum lambda ln lambda of the windowed rho(t).
 
-    The eigensolve oracle for :func:`entropy`.  Zero for a pure state
+    The eigensolve oracle for :func:`entropy`, compared with it by
+    ``validate --level full`` and the tests.  Zero for a pure state
     (r_d = 0 or t' = 0); bounded by ln(2L+1).  The 0 ln 0 limit is taken
     as 0.
     """

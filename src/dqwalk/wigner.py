@@ -39,7 +39,6 @@ class WignerGrid:
     s_max: int
     k_nodes: np.ndarray
     values: np.ndarray  # shape (n_sites, n_k)
-    params: ModelParams
 
     @property
     def sites(self) -> np.ndarray:
@@ -88,14 +87,16 @@ def wigner_value(s: int, k: float, p: ModelParams, trunc: SeriesTruncation) -> f
 
 
 def wigner_qw(s: int, k: float, tprime: float) -> float:
-    """Dissipation-free limit, (1/2pi) J_{2s}(2 t' sin(k/2))."""
+    """Dissipation-free limit, (1/2pi) J_{2s}(2 t' sin(k/2)); the r_D = 0
+    oracle of :func:`wigner_value` in ``tests/test_wigner.py``."""
     _check_k(k)
     z = abs(2.0 * tprime * math.sin(0.5 * k))
     return float(bessel_j_orders(np.array([2 * s]), z)[0]) / TWO_PI
 
 
 def wigner_crw(s: int, x: float) -> float:
-    """Pure-diffusion limit, e^{-x} I_s(x) / 2pi; k-independent, nonnegative."""
+    """Pure-diffusion limit, e^{-x} I_s(x) / 2pi; k-independent, nonnegative.
+    The t' -> 0 oracle of :func:`wigner_value` in ``tests/test_wigner.py``."""
     return float(bessel_i_scaled_orders(np.array([s]), x)[0]) / TWO_PI
 
 
@@ -105,7 +106,7 @@ def wigner_convolution(
     """Site convolution of the quantum and classical limits.
 
     2pi sum_n W_qw(s - n, k) W_crw(n); equals :func:`wigner_value` and is
-    used as its cross-check.
+    kept as its cross-check in ``validate`` and acceptance criterion 7.
     """
     _check_k(k)
     check_truncation(trunc, p.tprime, p.x)
@@ -121,7 +122,9 @@ def wigner_from_density(s: int, k: float, window) -> float:
     (1/2pi) sum_{s'} <s+s'|rho|s-s'> e^{i k s'}.
 
     The imaginary part must cancel (Hermiticity plus reflection symmetry);
-    it is checked against 1e-10 and discarded.
+    it is checked against 1e-10 and discarded.  Kept as the density-matrix
+    oracle of :func:`wigner_value` in ``tests/test_wigner.py`` and of the
+    benchmark's output checks (``bench/oracles.py``).
     """
     _check_k(k)
     half = window.half_width
@@ -161,7 +164,7 @@ def wigner_grid(
     values = np.empty((sites.size, k_nodes.size))
     for j, k in enumerate(k_nodes):
         values[:, j] = wigner_row(sites, float(k), p, trunc)
-    return WignerGrid(s_min=s_min, s_max=s_max, k_nodes=k_nodes, values=values, params=p)
+    return WignerGrid(s_min=s_min, s_max=s_max, k_nodes=k_nodes, values=values)
 
 
 def position_marginal(grid: WignerGrid) -> np.ndarray:

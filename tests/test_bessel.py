@@ -175,7 +175,9 @@ class TestTruncationOrder:
         with pytest.raises(ValueError):
             truncation_order(0.0, 0.0, eps_tail=0.0)
         with pytest.raises(ValueError):
-            SeriesTruncation(n_max=-2, eps_tail=1e-14, tprime=0.0, x=0.0)
+            SeriesTruncation(n_max=-2, eps_tail=1e-14, tprime=0.0, x=0.0, weights=np.ones(1))
+        with pytest.raises(ValueError, match="shape"):
+            SeriesTruncation(n_max=1, eps_tail=1e-14, tprime=0.0, x=0.0, weights=np.ones(2))
 
 
 def j_bound_below_tiny(n, x):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dqwalk
-from dqwalk import core, spectral
+from dqwalk import cli, core, spectral
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
     _fmt,
@@ -418,6 +418,29 @@ class TestExitCodes:
         code = main(["validate", "--quad-nodes", "16"])
         capsys.readouterr()
         assert code in (1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "10000000000000"],
+        ["prob", "--tprime", "3", "--rd", "0.5", "--s-range=-5000000000000:5000000000000"],
+        ["validate", "--quad-nodes", "10000000"],
+    ], ids=["wigner-k-nodes", "prob-sites", "validate-quad-nodes"])
+    def test_oversize_grid_is_exit_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_row_bound_is_inclusive_on_every_csv_command(self, command, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        assert main(BASE_ARGV[command] + ["--out", str(out)]) == 0
+        rows = len(out.read_text().splitlines()) - 1
+        out.unlink()
+        monkeypatch.setattr(cli, "MAX_ROWS", rows - 1)
+        assert main(BASE_ARGV[command] + ["--out", str(out)]) == 1
+        assert not out.exists()
+        monkeypatch.setattr(cli, "MAX_ROWS", rows)
+        assert main(BASE_ARGV[command] + ["--out", str(out)]) == 0
 
     def test_unwritable_output_is_exit_3(self, capsys):
         code = main(

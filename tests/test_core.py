@@ -11,7 +11,6 @@ from dqwalk.core import (
     characteristic_function,
     density_element,
     moment_via_cf,
-    probability,
     probability_crw,
     probability_profile,
     probability_qw,
@@ -88,7 +87,7 @@ class TestDensityElement:
 class TestProbability:
     def test_all_mass_at_origin_at_t_zero(self):
         p, tr = params(0.0, 5.0)
-        assert probability(0, p, tr) == 1.0
+        assert probability_profile(np.array([0]), p, tr)[0] == 1.0
 
     def test_anderson_peaks(self):
         # ballistic maxima of the dissipation-free profile at t' = 31.8
@@ -101,7 +100,7 @@ class TestProbability:
         from dqwalk.fourier import density_element_quadrature
 
         p, tr = params(4.0, 0.5)
-        direct = probability(5, p, tr)
+        direct = probability_profile(np.array([5]), p, tr)[0]
         assert abs(direct - density_element_quadrature(5, 5, p).real) < 1e-9
 
     @pytest.mark.parametrize("r_d", RD_GRID)
@@ -183,7 +182,9 @@ class TestLimits:
     @pytest.mark.parametrize("tprime", [0.5, 2.0, 9.0])
     def test_qw_equals_dissipation_free_series(self, s, tprime):
         p, tr = params(tprime, 0.0)
-        assert probability(s, p, tr) == pytest.approx(probability_qw(s, tprime), abs=1e-14)
+        assert probability_profile(np.array([s]), p, tr)[0] == pytest.approx(
+            probability_qw(s, tprime), abs=1e-14
+        )
 
     def test_crw_at_zero(self):
         assert probability_crw(0, 0.0) == 1.0
@@ -205,7 +206,9 @@ class TestLimits:
         eps, x = 1e-6, 2.0
         p, tr = params(eps, x / eps)
         for s in [0, 1, 3]:
-            assert probability(s, p, tr) == pytest.approx(probability_crw(s, x), abs=1e-9)
+            assert probability_profile(np.array([s]), p, tr)[0] == pytest.approx(
+                probability_crw(s, x), abs=1e-9
+            )
 
 
 class TestPurity:

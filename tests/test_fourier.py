@@ -10,7 +10,6 @@ from dqwalk.fourier import (
     QuadratureSpec,
     density_block_quadrature,
     density_element_quadrature,
-    momentum_diagonal,
     propagator_exponent,
 )
 
@@ -61,6 +60,17 @@ class TestPropagatorExponent:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             propagator_exponent(float("nan"), 0.0, ModelParams(1.0, 0.0))
+        with pytest.raises(ValueError):
+            propagator_exponent(np.array([0.0, np.inf]), 0.0, ModelParams(1.0, 0.0))
+
+    def test_broadcasts_elementwise(self):
+        # the quadrature evaluates F on the node grid in one call
+        p = ModelParams(1.0, 0.8)
+        k = QuadratureSpec(nodes_per_axis=16).nodes()
+        grid = propagator_exponent(k[:, None], k[None, :], p)
+        assert grid.shape == (16, 16)
+        for i, j in [(0, 0), (3, 11), (15, 2)]:
+            assert grid[i, j] == propagator_exponent(float(k[i]), float(k[j]), p)
 
 
 class TestDensityQuadrature:
@@ -111,14 +121,6 @@ class TestDensityQuadrature:
 
 
 class TestMomentumDiagonal:
-    def test_time_independent_uniform(self):
-        for k in [-math.pi, 0.0, 1.3]:
-            assert momentum_diagonal(k, ModelParams(17.0, 4.0)) == 1.0 / TWO_PI
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            momentum_diagonal(float("inf"), ModelParams(1.0, 0.0))
-
     def test_consistent_with_quadrature_propagator(self):
         # direct check that exp(F t) is 1 on the diagonal
         p = ModelParams(9.0, 2.0)

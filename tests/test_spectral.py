@@ -9,7 +9,6 @@ from dqwalk.exceptions import NumericalError
 from dqwalk.spectral import (
     MIN_HALF_WIDTH,
     build_window,
-    dephase_to_real,
     eigen_spectrum,
     entropy,
     entropy_small_dissipation,
@@ -78,14 +77,6 @@ class TestBuildWindow:
 
 
 class TestSpectrum:
-    def test_dephasing_preserves_spectrum(self):
-        w = build_window(ModelParams(4.0, 0.6))
-        real_sym = dephase_to_real(w)
-        assert np.max(np.abs(real_sym - real_sym.T)) < 1e-14
-        direct = np.sort(np.linalg.eigvalsh(w.elements))
-        stripped = np.sort(np.linalg.eigvalsh(real_sym))
-        assert np.max(np.abs(direct - stripped)) < 1e-12
-
     def test_pure_state_spectrum(self):
         spec = eigen_spectrum(build_window(ModelParams(7.0, 0.0)))
         assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
@@ -107,9 +98,7 @@ class TestSpectrum:
         w = build_window(ModelParams(2.0, 0.3))
         bad = w.elements.copy()
         bad[0, 0] = -1.0
-        broken = type(w)(
-            half_width=w.half_width, elements=bad, params=w.params, truncated_mass=0.0
-        )
+        broken = type(w)(half_width=w.half_width, elements=bad, truncated_mass=0.0)
         with pytest.raises(NumericalError):
             eigen_spectrum(broken)
 
