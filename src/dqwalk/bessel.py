@@ -11,7 +11,8 @@ plain floating point by Miller's algorithm (W. Gautschi, SIAM Rev. 9
       J:  f_{k-1} = (2k/x) f_k - f_{k+1},
       I:  f_{k-1} = (2k/x) f_k + f_{k+1},
 
-  is run down to k = 1.  J_n and I_n are the minimal solutions of these
+  is run down to k = 1 by one loop for both rows; only the sign of the
+  f_{k+1} term differs.  J_n and I_n are the minimal solutions of these
   recurrences, so downwards the computed f_n become proportional to them
   at a rate set by how far M lies above n.
 * Normalization.  The common factor is fixed by the identities
@@ -152,10 +153,22 @@ def _check_start(start: int, x: float) -> None:
         )
 
 
-def _rescaled_ascending(vals: list, rescales: list) -> np.ndarray:
-    """Recurrence values, computed from the start order down, as an array in
-    ascending order; each rescale ``(count, scale)`` multiplies the ``count``
-    values computed up to it."""
+def _miller(start: int, x: float, sign: float) -> np.ndarray:
+    """f_0 .. f_start of the recurrence f_{k-1} = (2k/x) f_k + sign f_{k+1}
+    from f_{start+1} = 0, f_start = 1, up to a common factor: sign -1 is
+    the J recurrence and +1 the I recurrence.  Whenever |f| exceeds
+    RESCALE, every value computed so far is divided by |f|."""
+    two_over_x, big_sq = 2.0 / x, RESCALE * RESCALE
+    vals, rescales = [1.0], []
+    append = vals.append
+    f_next, f = 0.0, 1.0
+    for k in range(start, 0, -1):
+        f_next, f = f, k * two_over_x * f + sign * f_next
+        append(f)
+        if f * f > big_sq:
+            scale = 1.0 / abs(f)
+            rescales.append((len(vals), scale))
+            f_next, f = f_next * scale, f * scale
     row = np.array(vals)
     for count, scale in rescales:
         row[:count] *= scale
@@ -181,18 +194,7 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
         max(n_max, math.ceil(x)) + 20 + math.ceil(10.0 * x ** (1.0 / 3.0)),
     )
     _check_start(start, x)
-    two_over_x, big_sq = 2.0 / x, RESCALE * RESCALE
-    vals, rescales = [1.0], []
-    append = vals.append
-    f_next, f = 0.0, 1.0
-    for k in range(start, 0, -1):
-        f_next, f = f, k * two_over_x * f - f_next
-        append(f)
-        if f * f > big_sq:
-            scale = 1.0 / abs(f)
-            rescales.append((len(vals), scale))
-            f_next, f = f_next * scale, f * scale
-    vals = _rescaled_ascending(vals, rescales)
+    vals = _miller(start, x, -1.0)
     vals /= vals[0] + 2.0 * vals[2::2].sum()
     return _leading(vals, n_max)
 
@@ -207,18 +209,7 @@ def _scaled_i_pass(x: float) -> np.ndarray:
         lambda n: math.hypot(n, x) - x - n * math.asinh(n / x), 0, MAX_ORDER + 1
     )
     _check_start(start, x)
-    two_over_x, big = 2.0 / x, RESCALE
-    vals, rescales = [1.0], []
-    append = vals.append
-    f_next, f = 0.0, 1.0
-    for k in range(start, 0, -1):
-        f_next, f = f, k * two_over_x * f + f_next
-        append(f)
-        if f > big:
-            scale = 1.0 / f
-            rescales.append((len(vals), scale))
-            f_next, f = f_next * scale, f * scale
-    vals = _rescaled_ascending(vals, rescales)
+    vals = _miller(start, x, 1.0)
     vals /= vals[0] + 2.0 * vals[1:].sum()
     return vals
 

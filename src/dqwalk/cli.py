@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bessel, core, fourier, spectral, validate, wigner
 from .core import ModelParams
-from .exceptions import BracketError, NumericalError, QuadratureLimitError
+from .exceptions import NumericalError
 
 #: (module, function name) behind each scalar command, looked up when the
 #: command runs; the function is called with ``p=`` and with the command's
@@ -79,7 +79,8 @@ def _parse_grid(text: str) -> np.ndarray:
     span = (b - a) / step
     if not span + 1 <= MAX_GRID_NODES:
         raise ValueError(f"grid {text!r} has more than {MAX_GRID_NODES} nodes")
-    return a + step * np.arange(int(round(span)) + 1)
+    # floor, so no node lies past b; the 1e-8 keeps b when the text rounds it
+    return a + step * np.arange(math.floor(span * (1.0 + 1e-8)) + 1)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -315,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=cmd_scalar)
 
     p = sub.add_parser("critical-rd", help="quantum-classical threshold by bisection")
-    p.add_argument("--t-star", dest="t_star", type=float, default=1.9)
-    p.add_argument("--lo", type=float, default=0.1)
-    p.add_argument("--hi", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--t-star", dest="t_star", type=float, default=wigner.T_STAR_DEFAULT)
+    p.add_argument("--lo", type=float, default=wigner.RD_LO_DEFAULT)
+    p.add_argument("--hi", type=float, default=wigner.RD_HI_DEFAULT)
+    p.add_argument("--tol", type=float, default=wigner.RD_TOL_DEFAULT)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(run=cmd_critical_rd)
 
@@ -351,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         _write_json(args.out + ".manifest.json", manifest)
         return 0
-    except (BracketError, NumericalError, QuadratureLimitError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

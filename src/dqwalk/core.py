@@ -14,6 +14,7 @@ modified Bessel factors term by term, so nothing here overflows at large x.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ from .bessel import (
 #: i^m for m = 0..3; indexing by (s1 - s2) % 4 gives the density-matrix
 #: phase exactly, with no trigonometric roundoff
 I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+
+#: finite-difference step of :func:`moment_via_cf`
+CF_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,25 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
     ``tests/test_fourier.py``.
     """
     check_truncation(trunc, p.tprime, p.x)
-    if p.tprime == 0.0 and p.r_d == 0.0:
-        # degenerate initial state, no series needed
-        return 1.0 + 0.0j if s1 == 0 and s2 == 0 else 0.0 + 0.0j
     n = trunc.orders()
     j1 = bessel_j_orders(s1 + n, p.tprime)
     j2 = bessel_j_orders(s2 + n, p.tprime)
     return complex(I_POWERS[(s1 - s2) % 4]) * float(np.sum(j1 * j2 * trunc.weights))
+
+
+def site_correlation(
+    s_values: np.ndarray, trunc: SeriesTruncation, row: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``sum_n row(s + n) w_n`` at each site of an integer array, with the
+    weights ``w_n = e^{-x} I_n(x)`` of the truncation: one discrete
+    correlation of ``row`` over orders s_min - n_max .. s_max + n_max, in
+    O(sites + orders) memory."""
+    s_values = np.asarray(s_values, dtype=int)
+    if s_values.size == 0:
+        return np.empty(0)
+    s_min, s_max = int(s_values.min()), int(s_values.max())
+    m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
+    return np.correlate(row(m), trunc.weights, "valid")[s_values - s_min]
 
 
 def probability_profile(
@@ -94,23 +110,12 @@ def probability_profile(
 ) -> np.ndarray:
     """Probability P_s of finding the walker at each site of an integer array.
 
-    The series is evaluated as one discrete correlation: with the row
-    ``J_m(t')^2`` over orders m = s_min - n_max .. s_max + n_max and the
-    weights ``w_n = e^{-x} I_n(x)`` of the truncation,
-    ``P_s = sum_n J_{s+n}^2 w_n`` is entry
-    s - s_min of ``correlate(row, w, "valid")``.  The terms summed are those
-    of the diagonal of :func:`density_element`, all non-negative, so
-    deep-tail values keep their relative accuracy; memory is
-    O(sites + orders).
+    The :func:`site_correlation` of the row J_m(t')^2.  The terms summed are
+    those of the diagonal of :func:`density_element`, all non-negative, so
+    deep-tail values keep their relative accuracy.
     """
     check_truncation(trunc, p.tprime, p.x)
-    s_values = np.asarray(s_values, dtype=int)
-    if s_values.size == 0:
-        return np.empty(0)
-    s_min, s_max = int(s_values.min()), int(s_values.max())
-    m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
-    j = bessel_j_orders(m, p.tprime)
-    return np.correlate(j * j, trunc.weights, "valid")[s_values - s_min]
+    return site_correlation(s_values, trunc, lambda m: np.square(bessel_j_orders(m, p.tprime)))
 
 
 def probability_qw(s: int, tprime: float) -> float:
@@ -154,17 +159,16 @@ def variance(p: ModelParams) -> float:
     return 0.5 * p.tprime * p.tprime + p.r_d * p.tprime
 
 
-def moment_via_cf(order: int, p: ModelParams, h: float = 1e-3) -> float:
+def moment_via_cf(order: int, p: ModelParams) -> float:
     """Position moment from derivatives of the characteristic function.
 
-    Central finite differences at xi = 0 with one Richardson refinement.
+    Central finite differences at xi = 0 with steps CF_STEP and CF_STEP/2
+    and one Richardson refinement.
     The m-th moment carries a 1/i^m factor; G is real and even, so the
     first moment is zero by symmetry and the second is -G''(0).
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"h must be in (0, 0.1], got {h}")
 
     def deriv(step: float) -> float:
         if order == 1:
@@ -177,7 +181,7 @@ def moment_via_cf(order: int, p: ModelParams, h: float = 1e-3) -> float:
             + characteristic_function(-step, p)
         ) / (step * step)
 
-    refined = (4.0 * deriv(0.5 * h) - deriv(h)) / 3.0
+    refined = (4.0 * deriv(0.5 * CF_STEP) - deriv(CF_STEP)) / 3.0
     return refined if order == 1 else -refined
 
 

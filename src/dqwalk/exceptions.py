@@ -10,13 +10,14 @@ class WindowTooSmallError(ValueError):
     """A density window does not cover the sites required by the operation."""
 
 
-class BracketError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical failure: a broken spectrum or bracket, a recurrence that
+    is not finite, a quadrature past its range.  The CLI exits 2 on it."""
+
+
+class BracketError(NumericalError):
     """A root bracket does not contain a sign change."""
 
 
-class NumericalError(RuntimeError):
-    """An eigensolve failed or a consistency residual exceeded its bound."""
-
-
-class QuadratureLimitError(ValueError):
+class QuadratureLimitError(NumericalError):
     """Requested time exceeds the validity ceiling of the quadrature grid."""

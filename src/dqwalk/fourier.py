@@ -9,7 +9,8 @@ Transforming back to the lattice is a double integral over the Brillouin
 zone, evaluated here by the periodic trapezoid rule.  The integrand is
 entire and 2pi-periodic in both variables, so the rule converges
 spectrally and the result is a series-free cross-check for every
-density-matrix element.
+density-matrix element.  :func:`density_block_quadrature` is the one entry
+point; a single element is its block over two sites.
 """
 
 from __future__ import annotations
@@ -66,44 +67,20 @@ def propagator_exponent(
     return p.r_d * (np.cos(k1 - k2) - 1.0) + 1j * (np.cos(k1) - np.cos(k2))
 
 
-def _check_ceiling(p: ModelParams, q: QuadratureSpec) -> None:
+def density_block_quadrature(
+    s_values: np.ndarray, p: ModelParams, q: QuadratureSpec = QuadratureSpec()
+) -> np.ndarray:
+    """Quadrature matrix <s1|rho|s2> over all site pairs from one array,
+    with no Bessel series on this route; one element is entry [0, 1] of
+    the block over ``[s1, s2]``."""
     if p.tprime > q.max_tprime():
         raise QuadratureLimitError(
             f"tprime={p.tprime} exceeds validity ceiling "
             f"{q.max_tprime()} for {q.nodes_per_axis} nodes"
         )
-
-
-def _propagator_matrix(p: ModelParams, q: QuadratureSpec) -> np.ndarray:
-    k = q.nodes()
-    return np.exp(p.tprime * propagator_exponent(k[:, None], k[None, :], p))
-
-
-def density_element_quadrature(
-    s1: int, s2: int, p: ModelParams, q: QuadratureSpec = QuadratureSpec()
-) -> complex:
-    """<s1|rho(t)|s2> by double Brillouin-zone quadrature.
-
-    Uses the full plane-wave phase e^{i(k1 s1 - k2 s2)}; no Bessel series
-    is involved anywhere on this route.  Kept as the one-element oracle of
-    :func:`dqwalk.core.density_element` in ``tests/test_fourier.py``.
-    """
-    _check_ceiling(p, q)
-    k = q.nodes()
-    mat = _propagator_matrix(p, q)
-    left = np.exp(1j * k * s1)
-    right = np.exp(-1j * k * s2)
-    return complex(left @ mat @ right) / q.nodes_per_axis**2
-
-
-def density_block_quadrature(
-    s_values: np.ndarray, p: ModelParams, q: QuadratureSpec = QuadratureSpec()
-) -> np.ndarray:
-    """Quadrature matrix <s1|rho|s2> over all site pairs from one array."""
-    _check_ceiling(p, q)
     s_values = np.asarray(s_values, dtype=int)
     k = q.nodes()
-    mat = _propagator_matrix(p, q)
+    mat = np.exp(p.tprime * propagator_exponent(k[:, None], k[None, :], p))
     left = np.exp(1j * np.outer(s_values, k))
     right = np.exp(-1j * np.outer(k, s_values))
     return (left @ mat @ right) / q.nodes_per_axis**2

@@ -4,10 +4,12 @@ The spectrum of rho(t) is exactly the Skellam weights e^{-x} I_n(x), so
 :func:`entropy` is a sum over one scaled-I row.  The windowed eigensolve
 is kept as its oracle: the walk lives on an infinite lattice but stays
 inside a ballistic light cone, so a finite Hermitian window [-L, L]
-captures all but a controlled probability mass.  The window is
-diagonalized as the Hermitian matrix it is; :class:`DensityWindow` keeps
-the mass left outside it and :class:`SpectrumResult` the number of
-roundoff eigenvalues clamped to zero.
+captures all but MASS_TOL of the probability.  The window is
+diagonalized as the Hermitian matrix it is, and eigenvalues down to
+-EPS_CLAMP are clamped to zero as roundoff.  Both tolerances are
+constants, not arguments: the oracle has one setting.
+:class:`DensityWindow` keeps the mass left outside it and
+:class:`SpectrumResult` the number of clamped eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .exceptions import NumericalError
 #: non-trivial for spectral checks
 MIN_HALF_WIDTH = 20
 
-MASS_TOL_DEFAULT = 1e-12
-EPS_CLAMP_DEFAULT = 1e-12
+#: most probability mass a window may leave outside it
+MASS_TOL = 1e-12
+
+#: most negative eigenvalue clamped to zero as roundoff
+EPS_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,13 @@ class SpectrumResult:
     clamped_count: int
 
 
-def window_half_width(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> tuple[int, float]:
+def window_half_width(p: ModelParams) -> tuple[int, float]:
     """Smallest half-width (>= MIN_HALF_WIDTH) whose truncated probability
-    mass is below ``mass_tol``.
+    mass is below MASS_TOL.
 
     Starts from a ballistic-front overestimate and shrinks; grows instead
     if the estimate was somehow too small.
     """
-    if not 0.0 < mass_tol <= 1e-6:
-        raise ValueError(f"mass_tol must be in (0, 1e-6], got {mass_tol}")
     guess = math.ceil(
         p.tprime + 6.0 * math.sqrt(p.x) + 10.0 * p.tprime ** (1.0 / 3.0) + 20.0
     )
@@ -75,14 +78,14 @@ def window_half_width(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> tup
         probs = probability_profile(np.arange(0, guess + 1), p, trunc)  # P_{-s} = P_s
         inside = np.concatenate(([probs[0]], probs[0] + 2.0 * np.cumsum(probs[1:])))
         deficits = 1.0 - inside  # deficits[L] = mass outside [-L, L]
-        ok = np.flatnonzero(deficits < mass_tol)
+        ok = np.flatnonzero(deficits < MASS_TOL)
         if ok.size:
             half = max(MIN_HALF_WIDTH, int(ok[0]))
             return half, max(float(deficits[half]), 0.0)
         guess = int(guess * 1.25) + 10
 
 
-def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityWindow:
+def build_window(p: ModelParams) -> DensityWindow:
     """Materialize rho(t) on the mass-complete window.
 
     The fill is one matrix product: with A[s, n] = J_{s+n}(t') and the
@@ -90,7 +93,7 @@ def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityW
     phase stripped is A diag(I~) A^T; the i^(s1-s2) phase is applied
     afterwards.
     """
-    half, lost = window_half_width(p, mass_tol)
+    half, lost = window_half_width(p)
     trunc = truncation_for(p)
     n = trunc.orders()
     s = np.arange(-half, half + 1)
@@ -101,21 +104,19 @@ def build_window(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> DensityW
     return DensityWindow(half_width=half, elements=phase * real_part, truncated_mass=lost)
 
 
-def eigen_spectrum(
-    window: DensityWindow, eps_clamp: float = EPS_CLAMP_DEFAULT
-) -> SpectrumResult:
+def eigen_spectrum(window: DensityWindow) -> SpectrumResult:
     """Eigenvalues of the window, clamped and renormalized to sum 1.
 
-    Roundoff eigenvalues in [-eps_clamp, 0) are set to zero; anything more
+    Roundoff eigenvalues in [-EPS_CLAMP, 0) are set to zero; anything more
     negative indicates a broken window and raises.
     """
     try:
         vals = np.linalg.eigvalsh(window.elements)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    if vals[0] < -eps_clamp:
+    if vals[0] < -EPS_CLAMP:
         raise NumericalError(
-            f"eigenvalue {vals[0]:.3e} below clamp -{eps_clamp:.1e}"
+            f"eigenvalue {vals[0]:.3e} below clamp -{EPS_CLAMP:.1e}"
         )
     clamped = int(np.count_nonzero(vals < 0.0))
     vals = np.clip(vals, 0.0, None)
@@ -123,7 +124,7 @@ def eigen_spectrum(
     return SpectrumResult(eigenvalues=vals, clamped_count=clamped)
 
 
-def window_entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
+def window_entropy(p: ModelParams) -> float:
     """von Neumann entropy -sum lambda ln lambda of the windowed rho(t).
 
     The eigensolve oracle for :func:`entropy`, compared with it by
@@ -131,7 +132,7 @@ def window_entropy(p: ModelParams, mass_tol: float = MASS_TOL_DEFAULT) -> float:
     (r_d = 0 or t' = 0); bounded by ln(2L+1).  The 0 ln 0 limit is taken
     as 0.
     """
-    spectrum = eigen_spectrum(build_window(p, mass_tol))
+    spectrum = eigen_spectrum(build_window(p))
     vals = spectrum.eigenvalues
     vals = vals[vals > 0.0]
     return float(-(vals * np.log(vals)).sum())

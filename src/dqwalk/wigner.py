@@ -22,13 +22,19 @@ from .bessel import (
     bessel_j_orders,
     check_truncation,
 )
-from .core import ModelParams, truncation_for
+from .core import ModelParams, site_correlation, truncation_for
 from .exceptions import BracketError, NumericalError, WindowTooSmallError
 
 TWO_PI = 2.0 * math.pi
 
 #: default number of closed, uniform k nodes on [-pi, pi]
 K_NODES_DEFAULT = 256
+
+#: defaults of :func:`critical_rd`: probe time t*, r_D bracket and tolerance
+T_STAR_DEFAULT = 1.9
+RD_LO_DEFAULT = 0.1
+RD_HI_DEFAULT = 2.0
+RD_TOL_DEFAULT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,23 +68,16 @@ def wigner_row(
 ) -> np.ndarray:
     """W(s, k) for an array of sites at one momentum node.
 
-    Evaluated, like :func:`dqwalk.core.probability_profile`, as one
-    discrete correlation of the row ``J_{2m}(z)`` over m = s_min - n_max ..
-    s_max + n_max with the weights ``e^{-x} I_n(x)`` of the truncation; no
-    sites x orders array is formed.
+    Evaluated, like :func:`dqwalk.core.probability_profile`, as the
+    :func:`dqwalk.core.site_correlation` of one Bessel row, here J_{2m}(z)
+    with z = 2 t' sin(k/2).
     """
     _check_k(k)
     check_truncation(trunc, p.tprime, p.x)
-    s_values = np.asarray(s_values, dtype=int)
-    if s_values.size == 0:
-        return np.empty(0)
-    s_min, s_max = int(s_values.min()), int(s_values.max())
     # orders 2s+2n are even, so J of the (possibly negative) argument
     # 2 t' sin(k/2) equals J of its absolute value
     z = abs(2.0 * p.tprime * math.sin(0.5 * k))
-    m = np.arange(s_min - trunc.n_max, s_max + trunc.n_max + 1)
-    j = bessel_j_orders(2 * m, z)
-    return np.correlate(j, trunc.weights, "valid")[s_values - s_min] / TWO_PI
+    return site_correlation(s_values, trunc, lambda m: bessel_j_orders(2 * m, z)) / TWO_PI
 
 
 def wigner_value(s: int, k: float, p: ModelParams, trunc: SeriesTruncation) -> float:
@@ -146,20 +145,12 @@ def wigner_from_density(s: int, k: float, window) -> float:
 
 
 def wigner_grid(
-    s_min: int,
-    s_max: int,
-    p: ModelParams,
-    k_nodes: np.ndarray | None = None,
-    trunc: SeriesTruncation | None = None,
+    s_min: int, s_max: int, p: ModelParams, k_nodes: np.ndarray, trunc: SeriesTruncation
 ) -> WignerGrid:
     """Fill a full (site, k-node) grid of Wigner values."""
     if s_max < s_min:
         raise ValueError(f"empty site range [{s_min}, {s_max}]")
-    if k_nodes is None:
-        k_nodes = k_grid()
     k_nodes = np.asarray(k_nodes, dtype=float)
-    if trunc is None:
-        trunc = truncation_for(p)
     sites = np.arange(s_min, s_max + 1)
     values = np.empty((sites.size, k_nodes.size))
     for j, k in enumerate(k_nodes):
@@ -203,18 +194,22 @@ def min_wigner_over_time(r_d: float, t_grid: np.ndarray) -> tuple[float, float]:
 
 
 def critical_rd(
-    t_star: float = 1.9, lo: float = 0.1, hi: float = 2.0, tol: float = 1e-4
+    t_star: float = T_STAR_DEFAULT,
+    lo: float = RD_LO_DEFAULT,
+    hi: float = RD_HI_DEFAULT,
+    tol: float = RD_TOL_DEFAULT,
 ) -> float:
     """Dissipation threshold where W(0, pi, t_star) changes sign.
 
     Bisection on r_d; below the root the Wigner function is negative at the
     probe point (quantum correlations dominate), above it W is nonnegative
-    everywhere.  With the defaults the root is 0.52 +/- 0.02.
+    everywhere.  With the defaults the root is 0.52 +/- 0.02.  Bisection
+    ends at ``tol`` or once no float lies between lo and hi.
     """
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     def probe(r: float) -> float:
         p = ModelParams(tprime=t_star, r_d=r)
@@ -225,8 +220,7 @@ def critical_rd(
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if probe(mid) < 0.0:
             lo = mid
         else:

@@ -230,7 +230,7 @@ def test_criterion_08_classical_threshold():
     root = critical_rd(t_star=1.9, lo=0.1, hi=2.0, tol=1e-4)
     p = ModelParams(30.0, 10.0)
     half, _ = window_half_width(p)
-    grid = wigner_grid(-half, half, p, k_grid(256))
+    grid = wigner_grid(-half, half, p, k_grid(256), truncation_for(p))
     w_min = float(grid.values.min())
     ok = abs(root - 0.52) < 0.02 and w_min >= -1e-12
     verdict(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dqwalk
-from dqwalk import cli, core, spectral
+from dqwalk import cli, core, spectral, wigner
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
     _fmt,
@@ -44,6 +44,10 @@ class TestHelpers:
 
     def test_parse_grid(self):
         assert np.allclose(_parse_grid("0:1:0.25"), [0.0, 0.25, 0.5, 0.75, 1.0])
+        # a step that does not divide the span stops short of b, never past it
+        assert np.allclose(_parse_grid("0:1:0.28"), [0.0, 0.28, 0.56, 0.84])
+        assert np.allclose(_parse_grid("0:0.9:0.6"), [0.0, 0.6])
+        assert np.allclose(_parse_grid("0:1:0.3"), [0.0, 0.3, 0.6, 0.9])
         for bad in [
             "0:1", "1:0:0.5", "0:1:0", "0:1:-1", "0:inf:1", "nan:1:1", "0:1:inf",
             "0:1e300:1e-300", "0:1e12:1",
@@ -275,6 +279,21 @@ class TestCriticalRdCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["r_d_c"] - 0.52) < 0.02
+
+    def test_tolerance_below_one_ulp_terminates(self, tmp_path, monkeypatch):
+        # bisection from [0.1, 2] reaches adjacent floats in about 55 steps
+        wigner_value = wigner.wigner_value
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) < 100, "bisection did not stop at one ulp"
+            return wigner_value(*args)
+
+        monkeypatch.setattr(wigner, "wigner_value", counted)
+        out = tmp_path / "crit.json"
+        assert main(["critical-rd", "--tol", "1e-300", "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["r_d_c"] - 0.52) < 0.02
 
     def test_bad_bracket_is_exit_2(self, capsys):
         code = main(["critical-rd", "--lo", "1.0", "--hi", "2.0"])

@@ -9,11 +9,15 @@ from dqwalk.exceptions import QuadratureLimitError
 from dqwalk.fourier import (
     QuadratureSpec,
     density_block_quadrature,
-    density_element_quadrature,
     propagator_exponent,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def element_quadrature(s1, s2, p, q=QuadratureSpec()):
+    """<s1|rho|s2> by quadrature: entry [0, 1] of the block over [s1, s2]."""
+    return density_block_quadrature([s1, s2], p, q)[0, 1]
 
 
 class TestQuadratureSpec:
@@ -76,8 +80,8 @@ class TestPropagatorExponent:
 class TestDensityQuadrature:
     def test_initial_condition(self):
         p = ModelParams(0.0, 0.0)
-        assert density_element_quadrature(0, 0, p) == pytest.approx(1.0, abs=1e-13)
-        assert abs(density_element_quadrature(2, 0, p)) < 1e-13
+        assert element_quadrature(0, 0, p) == pytest.approx(1.0, abs=1e-13)
+        assert abs(element_quadrature(2, 0, p)) < 1e-13
 
     @pytest.mark.parametrize("tprime,r_d", [(1.0, 0.0), (4.0, 0.5), (8.0, 2.0), (10.0, 10.0)])
     def test_agrees_with_series(self, tprime, r_d):
@@ -85,16 +89,8 @@ class TestDensityQuadrature:
         trunc = truncation_for(p)
         for s1, s2 in [(0, 0), (3, -2), (-5, 5), (7, 6)]:
             series = density_element(s1, s2, p, trunc)
-            quad = density_element_quadrature(s1, s2, p)
+            quad = element_quadrature(s1, s2, p)
             assert abs(series - quad) < 1e-11
-
-    def test_block_matches_scalar_route(self):
-        p = ModelParams(3.0, 0.4)
-        sites = np.arange(-4, 5)
-        block = density_block_quadrature(sites, p)
-        for i, s1 in enumerate(sites):
-            for j, s2 in enumerate(sites):
-                assert abs(block[i, j] - density_element_quadrature(int(s1), int(s2), p)) < 1e-14
 
     def test_block_trace_and_hermiticity(self):
         p = ModelParams(5.0, 1.0)
@@ -106,17 +102,17 @@ class TestDensityQuadrature:
     def test_ceiling_enforced(self):
         p = ModelParams(40.0, 0.1)
         with pytest.raises(QuadratureLimitError):
-            density_element_quadrature(0, 0, p)
+            element_quadrature(0, 0, p)
         # more nodes raise the ceiling
         spec = QuadratureSpec(nodes_per_axis=512)
-        val = density_element_quadrature(0, 0, p, spec)
+        val = element_quadrature(0, 0, p, spec)
         assert 0.0 < val.real < 1.0
 
     def test_spectral_convergence(self):
         # doubling the nodes should change nothing at machine precision
         p = ModelParams(6.0, 0.7)
-        coarse = density_element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=128))
-        fine = density_element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=256))
+        coarse = element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=128))
+        fine = element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=256))
         assert abs(coarse - fine) < 1e-13
 
 

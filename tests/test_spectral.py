@@ -31,18 +31,6 @@ class TestWindowSizing:
         prof = probability_profile(np.arange(-half, half + 1), p, truncation_for(p))
         assert 1.0 - prof.sum() < 1e-12 + 1e-14
 
-    def test_tighter_tolerance_widens_window(self):
-        p = ModelParams(12.0, 0.5)
-        loose, _ = window_half_width(p, mass_tol=1e-8)
-        tight, _ = window_half_width(p, mass_tol=1e-12)
-        assert tight >= loose
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            window_half_width(ModelParams(1.0, 0.0), mass_tol=0.0)
-        with pytest.raises(ValueError):
-            window_half_width(ModelParams(1.0, 0.0), mass_tol=1e-3)
-
 
 class TestBuildWindow:
     def test_trace_and_hermiticity(self):

@@ -153,16 +153,16 @@ class TestGridAndMarginals:
 
     def test_marginals_and_mass(self):
         p, tr = setup(2.0, 0.3)
-        grid = wigner_grid(-25, 25, p)
+        grid = wigner_grid(-25, 25, p, k_grid(), tr)
         probs = probability_profile(grid.sites, p, tr)
         assert np.max(np.abs(position_marginal(grid) - probs)) < 1e-8
         assert np.max(np.abs(momentum_marginal(grid) - 1.0 / TWO_PI)) < 1e-10
         assert total_mass(grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_empty_site_range(self):
-        p, _ = setup(1.0, 0.0)
+        p, tr = setup(1.0, 0.0)
         with pytest.raises(ValueError):
-            wigner_grid(3, 2, p)
+            wigner_grid(3, 2, p, k_grid(), tr)
 
 
 class TestNegativityThreshold:
@@ -199,3 +199,9 @@ class TestNegativityThreshold:
             critical_rd(lo=1.0, hi=2.0)
         with pytest.raises(ValueError):
             critical_rd(lo=2.0, hi=1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.inf, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        # an infinite tol would skip the bisection and return the bracket midpoint
+        with pytest.raises(ValueError, match="tol"):
+            critical_rd(tol=tol)
