@@ -5,8 +5,12 @@ site and momentum grids ascend) and floats printed with 17 significant
 digits, so identical invocations produce byte-identical files.
 Every CSV output gets a manifest JSON alongside recording the invocation.
 Each subcommand accepts only the flags it reads; each tunable flag defaults
-to the library constant.  CSV commands return ``(header, rows, settings)``
-and :func:`main` writes the file and its manifest.
+to the library constant.  CSV commands return ``(header, columns,
+settings)``, the columns as a :class:`Table`, and :func:`main` writes the
+file and its manifest.  The writer formats each cell that repeats across
+rows once per block (t and r_D of a profile, t, r_D and s of a Wigner site
+row) and each column every block shares once per command (sites, k nodes,
+t nodes); only the value columns are formatted row by row.
 Exit codes: 0 success, 1 invalid input (usage errors included),
 2 numerical failure, 3 I/O error.
 """
@@ -19,7 +23,6 @@ import math
 import sys
 import time
 from functools import partial
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +47,10 @@ NUMERICS = {"bessel": "miller-recurrence", "numpy": np.__version__}
 #: most nodes a time grid may have; the largest benchmark grid has 401
 MAX_GRID_NODES = 10**6
 
-#: most rows a CSV may have, checked before any array is built: a row costs
-#: 120-180 B of peak memory, so under 2 GB; the largest benchmark CSV has 120,701
+#: most rows a CSV may have, checked before any array is built.  A row costs
+#: 8 B of peak memory on carpet and 33 B on wigner, where many blocks share
+#: one key column, and 100-140 B where one block spans the whole key (a single
+#: profile, a scalar series), so under 2 GB; the largest benchmark CSV has 120,701
 MAX_ROWS = 10**7
 
 #: printf-style format of every float cell: 17 significant digits round-trip
@@ -120,24 +125,64 @@ def _params_from_args(args) -> ModelParams:
     return ModelParams(tprime=args.tprime, r_d=args.rd)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write ``rows`` under ``header``; float columns as FLOAT_FMT, others as
-    integers, with column types taken from the first row.
+class Table:
+    """Rows of a CSV in column form.
 
-    Each block of CSV_BLOCK_ROWS rows is formatted by one ``%`` operation;
-    the block bound keeps the formatted text small next to ``rows``.
+    Row i of a block ``(lead, values)`` is ``(*lead, *key cells i,
+    *values[i])``: ``lead`` holds the cells every row of the block shares,
+    ``key`` the columns every block repeats (sites, k nodes or t nodes),
+    and ``values`` is a float array of shape (rows, value columns).
+    ``len`` counts the rows and iterating yields them as tuples.
     """
+
+    def __init__(self, key: tuple, blocks: list[tuple[tuple, np.ndarray]]):
+        self.key = key
+        self.blocks = blocks
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple]) -> "Table":
+        """All cells of plain row tuples as key columns of one block."""
+        if not rows:
+            return cls((), [])
+        return cls(tuple(zip(*rows)), [((), np.empty((len(rows), 0)))])
+
+    def __len__(self) -> int:
+        return sum(len(values) for _, values in self.blocks)
+
+    def __iter__(self):
+        key_rows = list(zip(*self.key))
+        for lead, values in self.blocks:
+            for cells, vals in zip(key_rows, values.tolist()):
+                yield (*lead, *cells, *vals)
+
+
+def _cell_fmt(value) -> str:
+    return FLOAT_FMT if isinstance(value, float) else "%d"
+
+
+def _write_csv(path: str, header: list[str], rows: Table | list[tuple]) -> None:
+    """Write ``rows`` under ``header``; float cells as FLOAT_FMT, others as
+    integers, with each key column's type taken from its first cell.
+
+    A plain list of row tuples is written as one block of key columns.
+    Key cells are formatted once per table and lead cells once per block;
+    the value cells of each CSV_BLOCK_ROWS rows take one ``%`` operation,
+    and the bound keeps that text small next to the value arrays.
+    """
+    table = rows if isinstance(rows, Table) else Table.from_rows(rows)
+    columns = [[_cell_fmt(column[0]) % v for v in column] for column in table.key]
+    key_text = [",".join(cells) for cells in zip(*columns)]
     out = Path(path)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if not rows:
-            return
-        line = ",".join(FLOAT_FMT if isinstance(v, float) else "%d" for v in rows[0]) + "\n"
-        for lo in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[lo : lo + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        for lead, values in table.blocks:
+            prefix = "".join(_cell_fmt(v) % v + "," for v in lead)
+            tail = ("," + FLOAT_FMT) * values.shape[1] + "\n"
+            for lo in range(0, len(values), CSV_BLOCK_ROWS):
+                text = prefix + (tail + prefix).join(key_text[lo : lo + CSV_BLOCK_ROWS]) + tail
+                fh.write(text % tuple(values[lo : lo + CSV_BLOCK_ROWS].ravel().tolist()))
 
 
 def _write_json(out_path: str | None, payload: dict) -> None:
@@ -149,18 +194,17 @@ def _write_json(out_path: str | None, payload: dict) -> None:
         print(text)
 
 
-def _profile_rows(t_values, rd_values, s_lo: int, s_hi: int, eps_tail: float) -> list[tuple]:
-    """Rows (t, r_d, s, P_s) over r_D (outer) and t (inner)."""
+def _profile_rows(t_values, rd_values, s_lo: int, s_hi: int, eps_tail: float) -> Table:
+    """Columns (t, r_d, s, P_s), one block per (r_D, t), r_D outer."""
     _check_rows(len(t_values), len(rd_values), s_hi - s_lo + 1)
     sites = np.arange(s_lo, s_hi + 1)
-    site_list = sites.tolist()
-    rows = []
+    blocks = []
     for r_d in rd_values:
         for t in t_values:
             p = ModelParams(tprime=float(t), r_d=float(r_d))
             probs = core.probability_profile(sites, p, core.truncation_for(p, eps_tail))
-            rows += zip(repeat(p.tprime), repeat(p.r_d), site_list, probs.tolist())
-    return rows
+            blocks.append(((p.tprime, p.r_d), probs[:, None]))
+    return Table((sites.tolist(),), blocks)
 
 
 def cmd_prob(args):
@@ -195,12 +239,9 @@ def cmd_wigner(args):
     trunc = core.truncation_for(p, args.eps_tail)
     grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(args.k_nodes), trunc)
     w_max = float(grid.values.max())
-    k_nodes = grid.k_nodes.tolist()
-    rows = [
-        (p.tprime, p.r_d, s, k, w, w / w_max)
-        for s, w_row in zip(grid.sites.tolist(), grid.values.tolist())
-        for k, w in zip(k_nodes, w_row)
-    ]
+    values = np.stack((grid.values, grid.values / w_max), axis=-1)
+    rows = Table((grid.k_nodes.tolist(),),
+                 [((p.tprime, p.r_d, s), v) for s, v in zip(grid.sites.tolist(), values)])
     settings = {"s_range": args.s_range, "k_nodes": args.k_nodes, "tprime": p.tprime,
                 "rd": p.r_d, "eps_tail": args.eps_tail}
     return ["t", "r_d", "s", "k", "w", "w_normalized"], rows, settings
@@ -213,11 +254,11 @@ def cmd_scalar(args):
     flags = {key: getattr(args, key) for key in ("eps_tail", "xi") if hasattr(args, key)}
     module, name = SCALAR_OBSERVABLES[args.command]
     value = partial(getattr(module, name), **flags)
-    rows = [
-        (float(t), float(r), value(p=ModelParams(tprime=float(t), r_d=float(r))))
+    t_list = t_values.tolist()
+    rows = Table((t_list,), [
+        ((), np.array([(r, value(p=ModelParams(tprime=t, r_d=r))) for t in t_list]))
         for r in rd_values
-        for t in t_values
-    ]
+    ])
     return ["t", "r_d", "value"], rows, {"t_grid": args.t_grid, "rd_list": rd_values, **flags}
 
 
@@ -340,14 +381,17 @@ def main(argv: list[str] | None = None) -> int:
         result = args.run(args)
         if isinstance(result, int):  # a JSON command's exit code
             return result
+        computed = time.perf_counter()
         header, rows, settings = result
         _write_csv(args.out, header, rows)
+        written = time.perf_counter()
         manifest = {
             "command": args.command,
             "settings": settings,
             "outputs": [args.out],
             "tool_version": __version__,
             "numerics": NUMERICS,
+            "timings": {"compute_s": computed - start, "write_s": written - computed},
             "wall_clock_seconds": time.perf_counter() - start,
         }
         _write_json(args.out + ".manifest.json", manifest)

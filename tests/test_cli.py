@@ -12,6 +12,7 @@ import dqwalk
 from dqwalk import cli, core, spectral, wigner
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
+    Table,
     _fmt,
     _parse_grid,
     _parse_list,
@@ -83,6 +84,111 @@ class TestWriteCsv:
         out = tmp_path / "empty.csv"
         _write_csv(str(out), ["t", "value"], [])
         assert out.read_text() == "t,value\n"
+
+    def test_table_matches_per_value_formatting(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0]
+        n = CSV_BLOCK_ROWS + 3  # a block longer than one formatting slice
+        values = np.array(special * (2 * n // len(special) + 1))[: 2 * n].reshape(n, 2)
+        key = (list(range(-5, n - 5)), [0.25 * i for i in range(n)])
+        blocks = [((1.0 / 3.0, -0.0, 7), values), ((1e300, 5e-324, -2), -values[::-1])]
+        table = Table(key, blocks)
+        rows = list(table)
+        assert len(table) == len(rows) == 2 * n
+        assert rows[n][:5] == (1e300, 5e-324, -2, -5, 0.0) and len(rows[n]) == 7
+        out = tmp_path / "special.csv"
+        _write_csv(str(out), ["a", "b", "c", "s", "k", "w", "v"], table)
+        # compared line by line: a failing diff of one long string takes minutes
+        assert out.read_bytes().decode().split("\n") == ["a,b,c,s,k,w,v"] + [
+            ",".join(_fmt(v) if isinstance(v, float) else "%d" % v for v in row)
+            for row in rows
+        ] + [""]
+
+
+def run_command(argv):
+    """``(header, rows, settings)`` of one CSV command, without writing."""
+    args = cli.build_parser().parse_args(argv + ["--out", "unused.csv"])
+    return args.run(args)
+
+
+def profile_rows(t_values, rd_values, s_lo, s_hi):
+    sites = range(s_lo, s_hi + 1)
+    rows = []
+    for r_d in rd_values:
+        for t in t_values:
+            p = ModelParams(t, r_d)
+            probs = probability_profile(np.array(sites), p, truncation_for(p))
+            rows += [(t, r_d, s, float(v)) for s, v in zip(sites, probs)]
+    return rows
+
+
+def wigner_rows(tprime, r_d, s_lo, s_hi, k_nodes):
+    p = ModelParams(tprime, r_d)
+    grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(k_nodes), truncation_for(p))
+    w_max = float(grid.values.max())
+    return [
+        (tprime, r_d, s, float(k), float(w), float(w) / w_max)
+        for s, w_row in zip(range(s_lo, s_hi + 1), grid.values)
+        for k, w in zip(grid.k_nodes, w_row)
+    ]
+
+
+def scalar_rows(value, t_values, rd_values):
+    return [(t, r, value(ModelParams(t, r))) for r in rd_values for t in t_values]
+
+
+#: (argv, the product of its axes, its rows built one by one from the library)
+COLUMN_CASES = {
+    "prob": (
+        ["prob", "--tprime", "3", "--rd-list", "0.5,0", "--s-range=-6:6"], 2 * 13,
+        lambda: profile_rows([3.0], [0.0, 0.5], -6, 6),
+    ),
+    "carpet": (
+        ["carpet", "--rd", "0.5", "--t-grid", "0:2:0.5", "--s-range=-8:8"], 5 * 17,
+        lambda: profile_rows([0.0, 0.5, 1.0, 1.5, 2.0], [0.5], -8, 8),
+    ),
+    "wigner": (
+        ["wigner", "--tprime", "2", "--rd", "0.3", "--s-range=-4:4", "--k-nodes", "33"], 9 * 33,
+        lambda: wigner_rows(2.0, 0.3, -4, 4, 33),
+    ),
+    "purity": (
+        ["purity", "--t-grid", "0:4:1", "--rd-list", "0,0.5,10"], 5 * 3,
+        lambda: scalar_rows(purity, [0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 10.0]),
+    ),
+    "entropy": (
+        ["entropy", "--t-grid", "1:3:0.5", "--rd-list", "0.1,1"], 5 * 2,
+        lambda: scalar_rows(
+            lambda p: spectral.entropy(p), [1.0, 1.5, 2.0, 2.5, 3.0], [0.1, 1.0]
+        ),
+    ),
+    "cf": (
+        ["cf", "--xi", "0.7", "--t-grid", "0:4:1", "--rd-list", "0,0.5"], 5 * 2,
+        lambda: scalar_rows(
+            lambda p: core.characteristic_function(0.7, p), [0.0, 1.0, 2.0, 3.0, 4.0],
+            [0.0, 0.5],
+        ),
+    ),
+}
+
+
+class TestColumns:
+    @pytest.mark.parametrize("command", ["prob", "carpet", "wigner", "purity"])
+    def test_rows_are_the_product_of_the_axes(self, command):
+        argv, count, expected = COLUMN_CASES[command]
+        _, rows, _ = run_command(argv)
+        assert len(rows) == count
+        assert list(rows) == expected()
+
+    @pytest.mark.parametrize("command", ["prob", "carpet", "wigner", "entropy", "cf"])
+    def test_csv_bytes_match_row_by_row_formatting(self, command, tmp_path):
+        argv, _, expected = COLUMN_CASES[command]
+        header, _, _ = run_command(argv)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = [",".join(header)] + [
+            ",".join(_fmt(v) if isinstance(v, float) else "%d" % v for v in row)
+            for row in expected()
+        ]
+        assert out.read_bytes().decode().split("\n") == lines + [""]
 
 
 EPS_TAIL_ARGV = {
@@ -324,6 +430,25 @@ class TestValidateCommand:
         skellam = [r for r in report["checks"] if r["name"].startswith("skellam_spectrum")]
         assert len(skellam) == 1 and skellam[0]["value"] < 1e-12
 
+    def test_quadrature_ceiling_keeps_the_report(self, tmp_path):
+        # 16 nodes reach t' = 2; three oracle parameter sets lie past that
+        out = tmp_path / "report.json"
+        assert main(["validate", "--quad-nodes", "16", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        refused = [r for r in report["checks"] if "reason" in r]
+        assert [r["name"] for r in refused] == [
+            "oracle_equivalence(t'=4.0,r_d=0.5)",
+            "oracle_equivalence(t'=8.0,r_d=2.0)",
+            "oracle_equivalence(t'=10.0,r_d=10.0)",
+        ]
+        for r in refused:
+            assert not r["passed"] and r["value"] is None
+            assert "exceeds validity ceiling 2.0 for 16 nodes" in r["reason"]
+        for prefix in ("normalization", "hermiticity", "wigner_marginal", "wigner_total_mass"):
+            found = [r for r in report["checks"] if r["name"].startswith(prefix)]
+            assert found and all(r["passed"] for r in found)
+
 
 #: a valid invocation of every CSV command, without ``--out``
 BASE_ARGV = {
@@ -408,6 +533,10 @@ class TestRejectedFlags:
         if command == "wigner":
             assert settings["k_nodes"] == 256
         assert manifest["numerics"] == {"bessel": "miller-recurrence", "numpy": np.__version__}
+        timings = manifest["timings"]
+        assert list(timings) == ["compute_s", "write_s"]
+        assert min(timings.values()) >= 0.0
+        assert sum(timings.values()) <= manifest["wall_clock_seconds"]
 
     @pytest.mark.parametrize(
         "command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS]
@@ -436,7 +565,7 @@ class TestExitCodes:
         # validate with too few quadrature nodes for its parameter sets
         code = main(["validate", "--quad-nodes", "16"])
         capsys.readouterr()
-        assert code in (1, 2)
+        assert code == 2
 
     @pytest.mark.parametrize("argv", [
         ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "10000000000000"],
