@@ -47,10 +47,11 @@ NUMERICS = {"bessel": "miller-recurrence", "numpy": np.__version__}
 #: most nodes a time grid may have; the largest benchmark grid has 401
 MAX_GRID_NODES = 10**6
 
-#: most rows a CSV may have, checked before any array is built.  A row costs
-#: 8 B of peak memory on carpet and 33 B on wigner, where many blocks share
-#: one key column, and 100-140 B where one block spans the whole key (a single
-#: profile, a scalar series), so under 2 GB; the largest benchmark CSV has 120,701
+#: most rows a CSV may have, checked before any array is built.  Peak memory
+#: above the imported CLI, per row of a 0.5-2 M-row CSV: 11 B on carpet, 32 B
+#: on wigner, 47 B on a scalar series and 63 B on a single profile (its site
+#: list and Bessel correlation; the writer adds only the key text), so under
+#: 1 GB; the largest benchmark CSV has 120,701
 MAX_ROWS = 10**7
 
 #: printf-style format of every float cell: 17 significant digits round-trip
@@ -165,13 +166,23 @@ def _write_csv(path: str, header: list[str], rows: Table | list[tuple]) -> None:
     integers, with each key column's type taken from its first cell.
 
     A plain list of row tuples is written as one block of key columns.
-    Key cells are formatted once per table and lead cells once per block;
-    the value cells of each CSV_BLOCK_ROWS rows take one ``%`` operation,
-    and the bound keeps that text small next to the value arrays.
+    Key cells are formatted once per table, CSV_BLOCK_ROWS rows at a time
+    into one text per slice with the rows joined by NUL (no formatted cell
+    holds one), and lead cells once per block.  Each block splices its
+    lead and value cells into a slice with one ``str.replace`` and fills
+    the value cells with one ``%`` operation, so the text held is the key
+    text plus one slice.
     """
     table = rows if isinstance(rows, Table) else Table.from_rows(rows)
-    columns = [[_cell_fmt(column[0]) % v for v in column] for column in table.key]
-    key_text = [",".join(cells) for cells in zip(*columns)]
+    fmts = [_cell_fmt(column[0]) for column in table.key]
+    key_rows = len(table.key[0]) if table.key else 0
+    slices = [
+        "\x00".join(map(",".join, zip(*(
+            [fmt % v for v in column[lo : lo + CSV_BLOCK_ROWS]]
+            for fmt, column in zip(fmts, table.key)
+        ))))
+        for lo in range(0, key_rows, CSV_BLOCK_ROWS)
+    ]
     out = Path(path)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -180,8 +191,8 @@ def _write_csv(path: str, header: list[str], rows: Table | list[tuple]) -> None:
         for lead, values in table.blocks:
             prefix = "".join(_cell_fmt(v) % v + "," for v in lead)
             tail = ("," + FLOAT_FMT) * values.shape[1] + "\n"
-            for lo in range(0, len(values), CSV_BLOCK_ROWS):
-                text = prefix + (tail + prefix).join(key_text[lo : lo + CSV_BLOCK_ROWS]) + tail
+            for lo, key_text in zip(range(0, key_rows, CSV_BLOCK_ROWS), slices):
+                text = prefix + key_text.replace("\x00", tail + prefix) + tail
                 fh.write(text % tuple(values[lo : lo + CSV_BLOCK_ROWS].ravel().tolist()))
 
 
@@ -255,10 +266,14 @@ def cmd_scalar(args):
     module, name = SCALAR_OBSERVABLES[args.command]
     value = partial(getattr(module, name), **flags)
     t_list = t_values.tolist()
-    rows = Table((t_list,), [
-        ((), np.array([(r, value(p=ModelParams(tprime=t, r_d=r))) for t in t_list]))
-        for r in rd_values
-    ])
+
+    def block(r: float) -> np.ndarray:
+        """Columns (r_D, value) over the time grid, with no per-row objects."""
+        values = np.fromiter((value(p=ModelParams(tprime=t, r_d=r)) for t in t_list),
+                             float, len(t_list))
+        return np.column_stack((np.full(len(t_list), r), values))
+
+    rows = Table((t_list,), [((), block(r)) for r in rd_values])
     return ["t", "r_d", "value"], rows, {"t_grid": args.t_grid, "rd_list": rd_values, **flags}
 
 

@@ -1,7 +1,9 @@
 """Self-validation suite: series vs quadrature, marginals, consistency.
 
-Each check returns a record with the measured residual and its bound, so
-the CLI can emit a machine-parsable report and a meaningful exit code.
+Each check returns records with the measured residual, its bound and
+``covers``: the production function the record checks (``"core.purity"``),
+or None for a self-check of an oracle.  Every check here is the one
+implementation of its comparison; the acceptance tests call these.
 """
 
 from __future__ import annotations
@@ -18,24 +20,39 @@ from .exceptions import QuadratureLimitError
 
 FAST_PARAM_SETS = [(1.0, 0.0), (4.0, 0.5), (8.0, 2.0), (10.0, 10.0)]
 
+#: (t', r_D) grid of the normalization, Hermiticity and variance checks
+T_GRID = [1.0, 5.0, 10.0, 20.0, 40.0]
+RD_GRID = [0.0, 0.05, 0.5, 1.0, 5.0, 10.0]
 
-def _record(name: str, value: float | None, tolerance: float, **extra) -> dict:
-    """One check's record; a ``value`` of None (no residual) fails."""
+
+def _record(name: str, value: float | None, tolerance: float, covers, **extra) -> dict:
+    """One check's record; a ``value`` of None (no residual) fails.
+    ``covers`` is the production function checked, or None."""
     rec = {
         "name": name,
         "value": value,
         "tolerance": tolerance,
         "passed": value is not None and bool(value < tolerance),
+        "covers": covers and f"{covers.__module__.rsplit('.', 1)[-1]}.{covers.__name__}",
     }
     rec.update(extra)
     return rec
 
 
-def check_oracle_equivalence(quad_nodes: int = fourier.NODES_DEFAULT) -> list[dict]:
-    """Max series-vs-quadrature deviation over s1, s2 in [-20, 20].
+def _window_profile(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of the mass-complete window and their probabilities."""
+    half, _ = spectral.window_half_width(p)
+    s = np.arange(-half, half + 1)
+    return s, core.probability_profile(s, p, core.truncation_for(p))
 
-    A parameter set past the quadrature's validity ceiling fails with the
-    ceiling as its ``reason``; the other sets and checks still run.
+
+def check_oracle_equivalence(quad_nodes: int = fourier.NODES_DEFAULT) -> list[dict]:
+    """Max series-vs-quadrature deviation over s1, s2 in [-20, 20], and
+    ``probability_profile`` against the quadrature block's diagonal.
+
+    A parameter set past the quadrature's validity ceiling gives one
+    failed record with the ceiling as its ``reason``; the other sets and
+    checks still run.
     """
     records = []
     sites = np.arange(-20, 21)
@@ -46,30 +63,63 @@ def check_oracle_equivalence(quad_nodes: int = fourier.NODES_DEFAULT) -> list[di
         try:
             quad_block = fourier.density_block_quadrature(sites, p, spec)
         except QuadratureLimitError as exc:
-            records.append(_record(name, None, 1e-9, reason=str(exc)))
+            records.append(_record(name, None, 1e-9, None, reason=str(exc)))
             continue
         window = spectral.build_window(p)
         lo = window.half_width - 20
         hi = window.half_width + 21
         series_block = window.elements[lo:hi, lo:hi]
         dev = float(np.abs(series_block - quad_block).max())
-        records.append(_record(name, dev, 1e-9))
+        records.append(_record(name, dev, 1e-9, None))
+        probs = core.probability_profile(sites, p, core.truncation_for(p))
+        dev = float(np.abs(probs - quad_block.diagonal().real).max())
+        records.append(_record(
+            f"probability_profile(t'={tprime},r_d={r_d})", dev, 1e-9, core.probability_profile
+        ))
     return records
 
 
 def check_normalization_hermiticity() -> list[dict]:
     records = []
-    for tprime, r_d in [(5.0, 0.05), (20.0, 1.0), (31.8, 0.0), (40.0, 10.0)]:
-        p = ModelParams(tprime=tprime, r_d=r_d)
-        window = spectral.build_window(p)
+    for tprime, r_d in [(t, r) for t in T_GRID for r in RD_GRID] + [(31.8, 0.0)]:
+        window = spectral.build_window(ModelParams(tprime=tprime, r_d=r_d))
         norm_dev = abs(window.trace() - 1.0)
         herm_dev = float(np.abs(window.elements - window.elements.conj().T).max())
-        records.append(
-            _record(f"normalization(t'={tprime},r_d={r_d})", norm_dev, 1e-10)
-        )
-        records.append(
-            _record(f"hermiticity(t'={tprime},r_d={r_d})", herm_dev, 1e-12)
-        )
+        records.append(_record(f"normalization(t'={tprime},r_d={r_d})", norm_dev, 1e-10, None))
+        records.append(_record(f"hermiticity(t'={tprime},r_d={r_d})", herm_dev, 1e-12, None))
+    return records
+
+
+def check_variance_law() -> list[dict]:
+    """Second moment of the windowed profile against t'^2/2 + r_D t',
+    as a relative error."""
+    records = []
+    for tprime in T_GRID:
+        for r_d in RD_GRID:
+            p = ModelParams(tprime=tprime, r_d=r_d)
+            s, probs = _window_profile(p)
+            second = float((s.astype(float) ** 2 * probs).sum())
+            rel = abs(second - core.variance(p)) / core.variance(p)
+            name = f"variance_law(t'={tprime},r_d={r_d})"
+            records.append(_record(name, rel, 1e-8, core.variance))
+    return records
+
+
+def check_characteristic_function() -> list[dict]:
+    """G(xi) against the lattice sum of P_s cos(xi s) over the window."""
+    records = []
+    for tprime in [1.0, 5.0, 10.0]:
+        for r_d in RD_GRID:
+            p = ModelParams(tprime=tprime, r_d=r_d)
+            s, probs = _window_profile(p)
+            dev = max(
+                abs(core.characteristic_function(xi, p) - float((probs * np.cos(xi * s)).sum()))
+                for xi in [0.3, 1.0, 2.5]
+            )
+            records.append(_record(
+                f"characteristic_function(t'={tprime},r_d={r_d})", dev, 1e-10,
+                core.characteristic_function,
+            ))
     return records
 
 
@@ -86,20 +136,22 @@ def check_wigner_marginals() -> list[dict]:
             np.abs(wigner.momentum_marginal(grid) - 1.0 / (2.0 * math.pi)).max()
         )
         dev_total = abs(wigner.total_mass(grid) - 1.0)
-        records.append(_record(f"wigner_marginal_position(t'={tprime},r_d={r_d})", dev_a, 1e-8))
-        records.append(_record(f"wigner_marginal_momentum(t'={tprime},r_d={r_d})", dev_b, 1e-10))
-        records.append(_record(f"wigner_total_mass(t'={tprime},r_d={r_d})", dev_total, 1e-8))
+        at = f"(t'={tprime},r_d={r_d})"
+        records.append(_record(f"wigner_marginal_position{at}", dev_a, 1e-8, wigner.wigner_grid))
+        records.append(_record(f"wigner_marginal_momentum{at}", dev_b, 1e-10, wigner.wigner_grid))
+        records.append(_record(f"wigner_total_mass{at}", dev_total, 1e-8, wigner.wigner_grid))
     return records
 
 
 def check_purity_consistency() -> list[dict]:
     records = []
-    for tprime, r_d in [(4.0, 0.5), (10.0, 2.0)]:
+    for tprime, r_d in [(4.0, 0.5), (10.0, 2.0), (20.0, 1.0)]:
         p = ModelParams(tprime=tprime, r_d=r_d)
         window = spectral.build_window(p)
         windowed = float(np.sum(np.abs(window.elements) ** 2))
         dev = abs(core.purity(p) - windowed)
-        records.append(_record(f"purity_consistency(t'={tprime},r_d={r_d})", dev, 1e-8))
+        name = f"purity_consistency(t'={tprime},r_d={r_d})"
+        records.append(_record(name, dev, 1e-8, core.purity))
     return records
 
 
@@ -112,7 +164,7 @@ def check_convolution_identity() -> list[dict]:
             direct = wigner.wigner_value(s, float(k), p, trunc)
             conv = wigner.wigner_convolution(s, float(k), p, trunc)
             dev = max(dev, abs(direct - conv))
-    return [_record("wigner_convolution_identity(t'=5,r_d=0.5)", dev, 1e-9)]
+    return [_record("wigner_convolution_identity(t'=5,r_d=0.5)", dev, 1e-9, None)]
 
 
 def check_asymptotic_entropy() -> list[dict]:
@@ -125,7 +177,8 @@ def check_asymptotic_entropy() -> list[dict]:
     windowed = spectral.window_entropy(p)
     exact = spectral.entropy(p)
     rel = abs(windowed - exact) / exact
-    return [_record("asymptotic_entropy_agreement(t'=100,r_d=0.005)", rel, 1e-9)]
+    name = "asymptotic_entropy_agreement(t'=100,r_d=0.005)"
+    return [_record(name, rel, 1e-9, spectral.entropy)]
 
 
 def check_skellam_spectrum() -> list[dict]:
@@ -136,7 +189,7 @@ def check_skellam_spectrum() -> list[dict]:
     vals = spectral.eigen_spectrum(spectral.build_window(p)).eigenvalues[:20]
     weights = np.sort(bessel_i_scaled_orders(np.arange(-30, 31), p.x))[::-1][:20]
     dev = float(np.abs(vals - weights).max())
-    return [_record("skellam_spectrum(t'=12,r_d=0.25)", dev, 1e-12)]
+    return [_record("skellam_spectrum(t'=12,r_d=0.25)", dev, 1e-12, None)]
 
 
 def run_checks(level: str = "fast", quad_nodes: int = fourier.NODES_DEFAULT) -> dict:
@@ -149,6 +202,8 @@ def run_checks(level: str = "fast", quad_nodes: int = fourier.NODES_DEFAULT) -> 
     records = []
     records += check_oracle_equivalence(quad_nodes)
     records += check_normalization_hermiticity()
+    records += check_variance_law()
+    records += check_characteristic_function()
     records += check_wigner_marginals()
     records += check_purity_consistency()
     records += check_convolution_identity()

@@ -5,8 +5,9 @@ The closed form is
     W(s, k, t) = (1/2pi) sum_n J_{2s+2n}(2 t' sin(k/2)) e^{-x} I_n(x)
 
 with k in the first Brillouin zone [-pi, pi].  Negative values flag quantum
-behavior; the walk crosses to a nonnegative (classical) W once the
-dissipation ratio exceeds a threshold found here by bisection.
+behavior.  The threshold found here by bisection is the dissipation ratio
+at which W(0, pi) changes sign at one probe time t*; W can still dip
+below zero at other times above it.
 """
 
 from __future__ import annotations
@@ -201,10 +202,12 @@ def critical_rd(
 ) -> float:
     """Dissipation threshold where W(0, pi, t_star) changes sign.
 
-    Bisection on r_d; below the root the Wigner function is negative at the
-    probe point (quantum correlations dominate), above it W is nonnegative
-    everywhere.  With the defaults the root is 0.52 +/- 0.02.  Bisection
-    ends at ``tol`` or once no float lies between lo and hi.
+    Bisection on r_d; below the root W(0, pi, t_star) is negative (quantum
+    correlations dominate), above it that one value is nonnegative.  It is
+    not a bound over all times: at the default root 0.50197 the minimum of
+    W(0, pi, t') over t' in [0.05, 6] is -9.06e-4, at t' = 2.14.  With the
+    defaults the root is 0.52 +/- 0.02.  Bisection ends at ``tol`` or once
+    no float lies between lo and hi.
     """
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")

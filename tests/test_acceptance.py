@@ -1,7 +1,9 @@
 """Acceptance gate: one test per numbered release criterion.
 
-Each test prints a single PASS or FAIL line (visible with ``pytest -v -s``
-or in the failure report) and then asserts at the pinned tolerance.
+Each test prints PASS or FAIL lines (visible with ``pytest -v -s`` or in
+the failure report) and then asserts at the pinned tolerance.  Criteria
+1, 2, 4, 5, 6, 7, 9d and 10 run the matching ``dqwalk.validate`` check,
+the one implementation of that comparison, and print one line per record.
 Every criterion is expected to pass.  Criteria 3b, 9c and 9d check the
 paper's claims in the form the exact solution actually takes; their
 docstrings derive that form (the shape of the r_D = 10 profile, the
@@ -11,33 +13,19 @@ next-order small-dissipation term, and the exact Skellam spectrum).
 import math
 
 import numpy as np
-import pytest
 from scipy.special import ive
 
+from dqwalk import validate
 from dqwalk.core import (
     ModelParams,
-    characteristic_function,
     moment_via_cf,
     probability_profile,
     purity,
     truncation_for,
     variance,
 )
-from dqwalk.fourier import QuadratureSpec, density_block_quadrature
-from dqwalk.spectral import build_window, entropy, window_entropy, window_half_width
-from dqwalk.wigner import (
-    critical_rd,
-    k_grid,
-    momentum_marginal,
-    position_marginal,
-    total_mass,
-    wigner_convolution,
-    wigner_grid,
-    wigner_value,
-)
-
-RD_GRID = [0.0, 0.05, 0.5, 1.0, 5.0, 10.0]
-T_GRID = [1.0, 5.0, 10.0, 20.0, 40.0]
+from dqwalk.spectral import entropy, window_entropy, window_half_width
+from dqwalk.wigner import critical_rd, k_grid, wigner_grid
 
 # P_3 - P_0 at t' = 31.8, r_D = 10, frozen from the 40-digit
 # ascending-series reference (sum_n J_{s+n}(t')^2 e^{-x} I_n(x), |s+n| <= 110)
@@ -48,40 +36,22 @@ def verdict(label: str, ok: bool, detail: str) -> None:
     print(f"[{label}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def assert_records(label: str, records: list[dict]) -> None:
+    """One verdict line per ``validate`` record, then all must have passed."""
+    for r in records:
+        value = r.get("reason") if r["value"] is None else f"{r['value']:.3e}"
+        verdict(label, r["passed"], f"{r['name']} {value} (< {r['tolerance']:g})")
+    assert records and all(r["passed"] for r in records)
+
+
 def test_criterion_01_oracle_equivalence():
-    """Series route agrees with the independent momentum quadrature."""
-    sites = np.arange(-20, 21)
-    worst = 0.0
-    for tprime, r_d in [(1.0, 0.0), (4.0, 0.5), (8.0, 2.0), (10.0, 10.0)]:
-        p = ModelParams(tprime, r_d)
-        window = build_window(p)
-        lo = window.half_width - 20
-        series = window.elements[lo : lo + 41, lo : lo + 41]
-        quad = density_block_quadrature(sites, p, QuadratureSpec(256))
-        worst = max(worst, float(np.abs(series - quad).max()))
-    ok = worst < 1e-9
-    verdict("criterion 1", ok, f"max series-vs-quadrature deviation {worst:.3e} (< 1e-9)")
-    assert ok
+    """Series route agrees with the independent momentum quadrature, on
+    the density block and on the profile behind ``prob`` and ``carpet``."""
+    assert_records("criterion 1", validate.check_oracle_equivalence())
 
 
 def test_criterion_02_normalization_and_hermiticity():
-    worst_norm, worst_herm = 0.0, 0.0
-    for tprime in T_GRID:
-        for r_d in RD_GRID:
-            p = ModelParams(tprime, r_d)
-            w = build_window(p)
-            worst_norm = max(worst_norm, abs(w.trace() - 1.0))
-            worst_herm = max(
-                worst_herm, float(np.abs(w.elements - w.elements.conj().T).max())
-            )
-    ok = worst_norm < 1e-10 and worst_herm < 1e-12
-    verdict(
-        "criterion 2",
-        ok,
-        f"norm deviation {worst_norm:.3e} (< 1e-10), "
-        f"Hermiticity residual {worst_herm:.3e} (< 1e-12)",
-    )
-    assert ok
+    assert_records("criterion 2", validate.check_normalization_hermiticity())
 
 
 def test_criterion_03a_ballistic_peaks():
@@ -148,82 +118,30 @@ def test_criterion_03b_strong_dissipation_unimodal():
 
 
 def test_criterion_04_variance_law():
-    worst = 0.0
-    for tprime in T_GRID:
-        for r_d in RD_GRID:
-            p = ModelParams(tprime, r_d)
-            half, _ = window_half_width(p)
-            s = np.arange(-half, half + 1)
-            second = float(
-                (s.astype(float) ** 2 * probability_profile(s, p, truncation_for(p))).sum()
-            )
-            expected = variance(p)
-            worst = max(worst, abs(second - expected) / expected)
-    ok = worst < 1e-8
-    verdict("criterion 4", ok, f"max relative variance error {worst:.3e} (< 1e-8)")
-    assert ok
+    assert_records("criterion 4", validate.check_variance_law())
 
 
 def test_criterion_05_purity():
-    worst = 0.0
-    for tprime, r_d in [(4.0, 0.5), (10.0, 2.0), (20.0, 1.0)]:
-        p = ModelParams(tprime, r_d)
-        windowed = float(np.sum(np.abs(build_window(p).elements) ** 2))
-        worst = max(worst, abs(windowed - purity(p)))
-    pure_ok = all(purity(ModelParams(t, 0.0)) == 1.0 for t in T_GRID)
+    assert_records("criterion 5", validate.check_purity_consistency())
+    pure_ok = all(purity(ModelParams(t, 0.0)) == 1.0 for t in validate.T_GRID)
     # purity * sqrt(8 pi D t) -> 1; at 4Dt = 200 take 2x = 200
     scaling = float(ive(0, 200.0)) * math.sqrt(2.0 * math.pi * 200.0)
     scaling_ok = abs(scaling - 1.0) < 5e-3
-    ok = worst < 1e-6 and pure_ok and scaling_ok
+    ok = pure_ok and scaling_ok
     verdict(
         "criterion 5",
         ok,
-        f"closed-form vs windowed {worst:.3e} (< 1e-6), pure at r_D=0: {pure_ok}, "
-        f"sqrt-t scaling {scaling:.6f} (1 +/- 0.005)",
+        f"pure at r_D=0: {pure_ok}, sqrt-t scaling {scaling:.6f} (1 +/- 0.005)",
     )
     assert ok
 
 
 def test_criterion_06_wigner_marginals():
-    worst_pos, worst_mom, worst_mass = 0.0, 0.0, 0.0
-    for tprime, r_d in [(2.0, 0.3), (10.0, 1.0)]:
-        p = ModelParams(tprime, r_d)
-        half, _ = window_half_width(p)
-        trunc = truncation_for(p)
-        grid = wigner_grid(-half, half, p, k_grid(256), trunc)
-        probs = probability_profile(grid.sites, p, trunc)
-        worst_pos = max(worst_pos, float(np.abs(position_marginal(grid) - probs).max()))
-        worst_mom = max(
-            worst_mom,
-            float(np.abs(momentum_marginal(grid) - 1.0 / (2.0 * math.pi)).max()),
-        )
-        worst_mass = max(worst_mass, abs(total_mass(grid) - 1.0))
-    ok = worst_pos < 1e-8 and worst_mom < 1e-10 and worst_mass < 1e-8
-    verdict(
-        "criterion 6",
-        ok,
-        f"position marginal {worst_pos:.3e} (< 1e-8), momentum marginal "
-        f"{worst_mom:.3e} (< 1e-10), total mass {worst_mass:.3e} (< 1e-8)",
-    )
-    assert ok
+    assert_records("criterion 6", validate.check_wigner_marginals())
 
 
 def test_criterion_07_convolution_identity():
-    p = ModelParams(5.0, 0.5)
-    trunc = truncation_for(p)
-    worst = 0.0
-    for s in range(-10, 10):
-        for k in np.linspace(-math.pi, math.pi, 20):
-            worst = max(
-                worst,
-                abs(
-                    wigner_value(s, float(k), p, trunc)
-                    - wigner_convolution(s, float(k), p, trunc)
-                ),
-            )
-    ok = worst < 1e-9
-    verdict("criterion 7", ok, f"max convolution deviation {worst:.3e} (< 1e-9)")
-    assert ok
+    assert_records("criterion 7", validate.check_convolution_identity())
 
 
 def test_criterion_08_classical_threshold():
@@ -243,7 +161,7 @@ def test_criterion_08_classical_threshold():
 
 
 def test_criterion_09a_pure_state_entropy():
-    pure = [ModelParams(t, 0.0) for t in T_GRID]
+    pure = [ModelParams(t, 0.0) for t in validate.T_GRID]
     worst = max(max(entropy(p), window_entropy(p)) for p in pure)
     ok = worst < 1e-6
     verdict(
@@ -294,47 +212,20 @@ def test_criterion_09c_small_dissipation_law():
 
 
 def test_criterion_09d_asymptotic_entropy():
-    """Long-time entropy asymptote within 15% at t' = 100, r_D = 0.005.
+    """Long-time entropy asymptote at t' = 100, r_D = 0.005.
 
     The asymptote is the entropy of the exact spectrum of rho, the
     Skellam(x/2, x/2) weights e^{-x} I_n(x) (Neumann's addition theorem
     makes the shifted Bessel vectors orthonormal), which :func:`entropy`
-    sums.  The windowed eigensolve must reproduce it; the measured gap is
-    at roundoff level.
+    sums.  The windowed eigensolve must reproduce it to roundoff.
     """
-    p = ModelParams(100.0, 0.005)
-    full = window_entropy(p)
-    asym = entropy(p)
-    rel = abs(full - asym) / asym
-    ok = rel < 0.15
-    verdict(
-        "criterion 9d",
-        ok,
-        f"windowed entropy {full:.6f} vs exact-spectrum asymptote {asym:.6f}, "
-        f"relative gap {rel:.3e} (< 0.15)",
-    )
-    assert ok
+    assert_records("criterion 9d", validate.check_asymptotic_entropy())
 
 
 def test_criterion_10_characteristic_function():
-    worst = 0.0
-    for tprime in [1.0, 5.0, 10.0]:
-        for r_d in RD_GRID:
-            p = ModelParams(tprime, r_d)
-            half, _ = window_half_width(p)
-            s = np.arange(-half, half + 1)
-            probs = probability_profile(s, p, truncation_for(p))
-            for xi in [0.3, 1.0, 2.5]:
-                lattice = float((probs * np.cos(xi * s)).sum())
-                worst = max(worst, abs(characteristic_function(xi, p) - lattice))
+    assert_records("criterion 10", validate.check_characteristic_function())
     p = ModelParams(10.0, 1.0)
-    second = moment_via_cf(2, p)
-    rel = abs(second - variance(p)) / variance(p)
-    ok = worst < 1e-10 and rel < 1e-5
-    verdict(
-        "criterion 10",
-        ok,
-        f"max CF-vs-lattice deviation {worst:.3e} (< 1e-10), second-moment "
-        f"relative error {rel:.3e} (< 1e-5)",
-    )
+    rel = abs(moment_via_cf(2, p) - variance(p)) / variance(p)
+    ok = rel < 1e-5
+    verdict("criterion 10", ok, f"second-moment relative error {rel:.3e} (< 1e-5)")
     assert ok

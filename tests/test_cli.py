@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,11 @@ class TestWriteCsv:
         assert len(rows) > 2 * CSV_BLOCK_ROWS
         out = tmp_path / "special.csv"
         _write_csv(str(out), ["a", "b", "s", "c"], rows)
-        expected = "a,b,s,c\n" + "".join(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        # compared line by line: a failing diff of one long string takes minutes
+        assert out.read_bytes().decode().split("\n") == ["a,b,s,c"] + [
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
             for row in rows
-        )
-        assert out.read_text() == expected
+        ] + [""]
 
     def test_empty_rows_write_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -102,6 +103,22 @@ class TestWriteCsv:
             ",".join(_fmt(v) if isinstance(v, float) else "%d" % v for v in row)
             for row in rows
         ] + [""]
+
+
+    def test_one_block_holds_no_per_row_strings(self, tmp_path):
+        # one block over a 50k-site key: the key is formatted slice by slice,
+        # so the traced peak is its text (~7 B/row) plus one slice.  The block
+        # has no value column: value text lives for one slice only, and each
+        # traced float format would make the test 5x slower
+        n = 50_000
+        table = Table((list(range(-n // 2, n // 2)),), [((), np.empty((n, 0)))])
+        tracemalloc.start()
+        try:
+            _write_csv(str(tmp_path / "one.csv"), ["s"], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 30
 
 
 def run_command(argv):
@@ -416,10 +433,15 @@ class TestValidateCommand:
         assert report["passed"]
         assert all(r["value"] < r["tolerance"] for r in report["checks"])
 
-    def test_full_level_green(self, tmp_path):
-        out = tmp_path / "report.json"
+    @pytest.fixture(scope="class")
+    def full_run(self, tmp_path_factory):
+        """Exit code and report of one ``validate --level full`` run."""
+        out = tmp_path_factory.mktemp("full") / "report.json"
         code = main(["validate", "--level", "full", "--out", str(out)])
-        report = json.loads(out.read_text())
+        return code, json.loads(out.read_text())
+
+    def test_full_level_green(self, full_run):
+        code, report = full_run
         assert code == 0
         assert report["passed"]
         assert all(r["value"] < r["tolerance"] for r in report["checks"])
@@ -429,6 +451,21 @@ class TestValidateCommand:
         assert len(entropy_check) == 1 and entropy_check[0]["value"] <= 1e-9
         skellam = [r for r in report["checks"] if r["name"].startswith("skellam_spectrum")]
         assert len(skellam) == 1 and skellam[0]["value"] < 1e-12
+
+    def test_every_command_has_a_covering_record(self, full_run):
+        """Each CSV command's production function is checked by a record;
+        a new scalar command fails here until ``validate`` covers it."""
+        routes = {
+            "prob": "core.probability_profile",
+            "carpet": "core.probability_profile",
+            "wigner": "wigner.wigner_grid",
+            **{
+                command: f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+                for command, (module, name) in cli.SCALAR_OBSERVABLES.items()
+            },
+        }
+        covered = {r["covers"] for r in full_run[1]["checks"]}
+        assert {c: f for c, f in routes.items() if f not in covered} == {}
 
     def test_quadrature_ceiling_keeps_the_report(self, tmp_path):
         # 16 nodes reach t' = 2; three oracle parameter sets lie past that
