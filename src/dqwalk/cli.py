@@ -176,13 +176,11 @@ def _write_csv(path: str, header: list[str], rows: Table | list[tuple]) -> None:
     table = rows if isinstance(rows, Table) else Table.from_rows(rows)
     fmts = [_cell_fmt(column[0]) for column in table.key]
     key_rows = len(table.key[0]) if table.key else 0
-    slices = [
-        "\x00".join(map(",".join, zip(*(
-            [fmt % v for v in column[lo : lo + CSV_BLOCK_ROWS]]
-            for fmt, column in zip(fmts, table.key)
-        ))))
-        for lo in range(0, key_rows, CSV_BLOCK_ROWS)
-    ]
+    slices = []
+    for lo in range(0, key_rows, CSV_BLOCK_ROWS):
+        cells = [[fmt % v for v in column[lo : lo + CSV_BLOCK_ROWS]]
+                 for fmt, column in zip(fmts, table.key)]
+        slices.append("\x00".join(map(",".join, zip(*cells))))
     out = Path(path)
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -266,14 +264,15 @@ def cmd_scalar(args):
     module, name = SCALAR_OBSERVABLES[args.command]
     value = partial(getattr(module, name), **flags)
     t_list = t_values.tolist()
-
-    def block(r: float) -> np.ndarray:
-        """Columns (r_D, value) over the time grid, with no per-row objects."""
-        values = np.fromiter((value(p=ModelParams(tprime=t, r_d=r)) for t in t_list),
-                             float, len(t_list))
-        return np.column_stack((np.full(len(t_list), r), values))
-
-    rows = Table((t_list,), [((), block(r)) for r in rd_values])
+    n = len(t_list)
+    # columns (r_D, value) of each block, with no per-row tuples
+    rows = Table((t_list,), [
+        ((), np.column_stack((
+            np.full(n, r),
+            np.fromiter((value(p=ModelParams(tprime=t, r_d=r)) for t in t_list), float, n),
+        )))
+        for r in rd_values
+    ])
     return ["t", "r_d", "value"], rows, {"t_grid": args.t_grid, "rd_list": rd_values, **flags}
 
 

@@ -25,15 +25,16 @@ T_GRID = [1.0, 5.0, 10.0, 20.0, 40.0]
 RD_GRID = [0.0, 0.05, 0.5, 1.0, 5.0, 10.0]
 
 
-def _record(name: str, value: float | None, tolerance: float, covers, **extra) -> dict:
+def _record(name: str, value: float | None, tolerance: float, covers: str | None,
+            **extra) -> dict:
     """One check's record; a ``value`` of None (no residual) fails.
-    ``covers`` is the production function checked, or None."""
+    ``covers`` names the production function checked, or is None."""
     rec = {
         "name": name,
         "value": value,
         "tolerance": tolerance,
         "passed": value is not None and bool(value < tolerance),
-        "covers": covers and f"{covers.__module__.rsplit('.', 1)[-1]}.{covers.__name__}",
+        "covers": covers,
     }
     rec.update(extra)
     return rec
@@ -74,7 +75,7 @@ def check_oracle_equivalence(quad_nodes: int = fourier.NODES_DEFAULT) -> list[di
         probs = core.probability_profile(sites, p, core.truncation_for(p))
         dev = float(np.abs(probs - quad_block.diagonal().real).max())
         records.append(_record(
-            f"probability_profile(t'={tprime},r_d={r_d})", dev, 1e-9, core.probability_profile
+            f"probability_profile(t'={tprime},r_d={r_d})", dev, 1e-9, "core.probability_profile"
         ))
     return records
 
@@ -101,7 +102,7 @@ def check_variance_law() -> list[dict]:
             second = float((s.astype(float) ** 2 * probs).sum())
             rel = abs(second - core.variance(p)) / core.variance(p)
             name = f"variance_law(t'={tprime},r_d={r_d})"
-            records.append(_record(name, rel, 1e-8, core.variance))
+            records.append(_record(name, rel, 1e-8, "core.variance"))
     return records
 
 
@@ -118,7 +119,7 @@ def check_characteristic_function() -> list[dict]:
             )
             records.append(_record(
                 f"characteristic_function(t'={tprime},r_d={r_d})", dev, 1e-10,
-                core.characteristic_function,
+                "core.characteristic_function",
             ))
     return records
 
@@ -137,9 +138,12 @@ def check_wigner_marginals() -> list[dict]:
         )
         dev_total = abs(wigner.total_mass(grid) - 1.0)
         at = f"(t'={tprime},r_d={r_d})"
-        records.append(_record(f"wigner_marginal_position{at}", dev_a, 1e-8, wigner.wigner_grid))
-        records.append(_record(f"wigner_marginal_momentum{at}", dev_b, 1e-10, wigner.wigner_grid))
-        records.append(_record(f"wigner_total_mass{at}", dev_total, 1e-8, wigner.wigner_grid))
+        for name, dev, bound in [
+            ("wigner_marginal_position", dev_a, 1e-8),
+            ("wigner_marginal_momentum", dev_b, 1e-10),
+            ("wigner_total_mass", dev_total, 1e-8),
+        ]:
+            records.append(_record(name + at, dev, bound, "wigner.wigner_grid"))
     return records
 
 
@@ -151,7 +155,7 @@ def check_purity_consistency() -> list[dict]:
         windowed = float(np.sum(np.abs(window.elements) ** 2))
         dev = abs(core.purity(p) - windowed)
         name = f"purity_consistency(t'={tprime},r_d={r_d})"
-        records.append(_record(name, dev, 1e-8, core.purity))
+        records.append(_record(name, dev, 1e-8, "core.purity"))
     return records
 
 
@@ -178,7 +182,7 @@ def check_asymptotic_entropy() -> list[dict]:
     exact = spectral.entropy(p)
     rel = abs(windowed - exact) / exact
     name = "asymptotic_entropy_agreement(t'=100,r_d=0.005)"
-    return [_record(name, rel, 1e-9, spectral.entropy)]
+    return [_record(name, rel, 1e-9, "spectral.entropy")]
 
 
 def check_skellam_spectrum() -> list[dict]:

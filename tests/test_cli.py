@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -424,6 +425,15 @@ class TestCriticalRdCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def quad16_run(tmp_path_factory):
+    """Exit code and report of one ``validate --quad-nodes 16`` run: 16
+    nodes reach t' = 2, and three oracle parameter sets lie past that."""
+    out = tmp_path_factory.mktemp("quad16") / "report.json"
+    code = main(["validate", "--quad-nodes", "16", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
 class TestValidateCommand:
     def test_fast_level_green(self, tmp_path):
         out = tmp_path / "report.json"
@@ -456,22 +466,24 @@ class TestValidateCommand:
         """Each CSV command's production function is checked by a record;
         a new scalar command fails here until ``validate`` covers it."""
         routes = {
-            "prob": "core.probability_profile",
-            "carpet": "core.probability_profile",
-            "wigner": "wigner.wigner_grid",
+            "prob": core.probability_profile,
+            "carpet": core.probability_profile,
+            "wigner": wigner.wigner_grid,
             **{
-                command: f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+                command: getattr(module, name)
                 for command, (module, name) in cli.SCALAR_OBSERVABLES.items()
             },
         }
-        covered = {r["covers"] for r in full_run[1]["checks"]}
+        covered = set()
+        for record in full_run[1]["checks"]:
+            if record["covers"] is not None:
+                module, name = record["covers"].split(".")
+                covered.add(getattr(importlib.import_module(f"dqwalk.{module}"), name))
         assert {c: f for c, f in routes.items() if f not in covered} == {}
 
-    def test_quadrature_ceiling_keeps_the_report(self, tmp_path):
-        # 16 nodes reach t' = 2; three oracle parameter sets lie past that
-        out = tmp_path / "report.json"
-        assert main(["validate", "--quad-nodes", "16", "--out", str(out)]) == 2
-        report = json.loads(out.read_text())
+    def test_quadrature_ceiling_keeps_the_report(self, quad16_run):
+        code, report = quad16_run
+        assert code == 2
         assert report["passed"] is False
         refused = [r for r in report["checks"] if "reason" in r]
         assert [r["name"] for r in refused] == [
@@ -598,11 +610,9 @@ class TestRejectedFlags:
 
 
 class TestExitCodes:
-    def test_quadrature_ceiling_is_exit_2(self, tmp_path, capsys):
+    def test_quadrature_ceiling_is_exit_2(self, quad16_run):
         # validate with too few quadrature nodes for its parameter sets
-        code = main(["validate", "--quad-nodes", "16"])
-        capsys.readouterr()
-        assert code == 2
+        assert quad16_run[0] == 2
 
     @pytest.mark.parametrize("argv", [
         ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "10000000000000"],
