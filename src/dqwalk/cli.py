@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bessel, core, fourier, spectral, validate, wigner
+from . import __version__, bessel, core, spectral, validate, wigner
 from .core import ModelParams
 from .exceptions import NumericalError
 
@@ -248,6 +248,8 @@ def cmd_wigner(args):
     trunc = core.truncation_for(p, args.eps_tail)
     grid = wigner.wigner_grid(s_lo, s_hi, p, wigner.k_grid(args.k_nodes), trunc)
     w_max = float(grid.values.max())
+    if not w_max > 0.0:  # w_normalized would be 0/0, or flip every sign
+        raise NumericalError(f"largest W on the grid is {w_max:.3g}, so W cannot be normalized")
     values = np.stack((grid.values, grid.values / w_max), axis=-1)
     rows = Table((grid.k_nodes.tolist(),),
                  [((p.tprime, p.r_d, s), v) for s, v in zip(grid.sites.tolist(), values)])
@@ -283,7 +285,7 @@ def cmd_critical_rd(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    report = validate.run_checks(args.level, quad_nodes=args.quad_nodes)
+    report = validate.run_checks(args.level)
     _write_json(args.out, report)
     return 0 if report["passed"] else 2
 
@@ -381,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the self-validation suite")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.add_argument("--out", help="write JSON report here instead of stdout")
-    p.add_argument("--quad-nodes", type=int, default=fourier.NODES_DEFAULT,
-                   help="quadrature nodes per axis")
     p.set_defaults(run=cmd_validate)
 
     return parser

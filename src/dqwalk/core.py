@@ -79,9 +79,9 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
     """Matrix element <s1|rho(t)|s2> of the reduced density matrix.
 
     Hermitian by construction: the n-sum is real and the phase i^(s1-s2)
-    conjugates under index swap.  Kept as the term-by-term oracle of
-    :func:`dqwalk.spectral.build_window` and of the quadrature in
-    ``tests/test_fourier.py``.
+    conjugates under index swap.  Kept as the series oracle of the ring
+    (:func:`dqwalk.fourier.density_block_quadrature`) in
+    ``tests/test_fourier.py`` and ``tests/test_spectral.py``.
     """
     check_truncation(trunc, p.tprime, p.x)
     n = trunc.orders()

@@ -11,8 +11,8 @@ class WindowTooSmallError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical failure: a broken spectrum or bracket, a recurrence that
-    is not finite, a quadrature past its range.  The CLI exits 2 on it."""
+    """A numerical failure: a broken bracket, a recurrence that is not
+    finite, a ring too small for its block.  The CLI exits 2 on it."""
 
 
 class BracketError(NumericalError):
@@ -20,4 +20,4 @@ class BracketError(NumericalError):
 
 
 class QuadratureLimitError(NumericalError):
-    """Requested time exceeds the validity ceiling of the quadrature grid."""
+    """A block of a ring whose image bound exceeds ``fourier.IMAGE_TOL``."""

@@ -122,9 +122,9 @@ def wigner_from_density(s: int, k: float, window) -> float:
     (1/2pi) sum_{s'} <s+s'|rho|s-s'> e^{i k s'}.
 
     The imaginary part must cancel (Hermiticity plus reflection symmetry);
-    it is checked against 1e-10 and discarded.  Kept as the density-matrix
-    oracle of :func:`wigner_value` in ``tests/test_wigner.py`` and of the
-    benchmark's output checks (``bench/oracles.py``).
+    it is checked against 1e-10 and discarded.  On a ring window
+    (:func:`dqwalk.fourier.ring_window`) it is the Bessel-free oracle of
+    :func:`wigner_grid` in ``validate``, of the tests and of the benchmark.
     """
     _check_k(k)
     half = window.half_width

@@ -24,7 +24,8 @@ from dqwalk.core import (
     truncation_for,
     variance,
 )
-from dqwalk.spectral import entropy, window_entropy, window_half_width
+from dqwalk.fourier import half_width, ring_window
+from dqwalk.spectral import entropy
 from dqwalk.wigner import critical_rd, k_grid, wigner_grid
 
 # P_3 - P_0 at t' = 31.8, r_D = 10, frozen from the 40-digit
@@ -39,14 +40,14 @@ def verdict(label: str, ok: bool, detail: str) -> None:
 def assert_records(label: str, records: list[dict]) -> None:
     """One verdict line per ``validate`` record, then all must have passed."""
     for r in records:
-        value = r.get("reason") if r["value"] is None else f"{r['value']:.3e}"
-        verdict(label, r["passed"], f"{r['name']} {value} (< {r['tolerance']:g})")
+        verdict(label, r["passed"], f"{r['name']} {r['value']:.3e} (< {r['tolerance']:g})")
     assert records and all(r["passed"] for r in records)
 
 
 def test_criterion_01_oracle_equivalence():
-    """Series route agrees with the independent momentum quadrature, on
-    the density block and on the profile behind ``prob`` and ``carpet``."""
+    """The series routes agree with the independent N-site ring: the Wigner
+    grid with the defining sum over the ring's density matrix, and the
+    profile behind ``prob`` and ``carpet`` with the ring's diagonal."""
     assert_records("criterion 1", validate.check_oracle_equivalence())
 
 
@@ -67,7 +68,7 @@ def test_criterion_03a_ballistic_peaks():
 
 def _profile_on_window(tprime: float, r_d: float) -> tuple[np.ndarray, np.ndarray, int]:
     p = ModelParams(tprime, r_d)
-    half, _ = window_half_width(p)
+    half = half_width(p)
     s = np.arange(-half, half + 1)
     return s, probability_profile(s, p, truncation_for(p)), half
 
@@ -147,7 +148,7 @@ def test_criterion_07_convolution_identity():
 def test_criterion_08_classical_threshold():
     root = critical_rd(t_star=1.9, lo=0.1, hi=2.0, tol=1e-4)
     p = ModelParams(30.0, 10.0)
-    half, _ = window_half_width(p)
+    half = half_width(p)
     grid = wigner_grid(-half, half, p, k_grid(256), truncation_for(p))
     w_min = float(grid.values.min())
     ok = abs(root - 0.52) < 0.02 and w_min >= -1e-12
@@ -162,7 +163,7 @@ def test_criterion_08_classical_threshold():
 
 def test_criterion_09a_pure_state_entropy():
     pure = [ModelParams(t, 0.0) for t in validate.T_GRID]
-    worst = max(max(entropy(p), window_entropy(p)) for p in pure)
+    worst = max(max(entropy(p), validate.ring_entropy(ring_window(p))) for p in pure)
     ok = worst < 1e-6
     verdict(
         "criterion 9a",

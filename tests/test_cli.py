@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dqwalk
-from dqwalk import cli, core, spectral, wigner
+from dqwalk import cli, core, fourier, spectral, validate, wigner
 from dqwalk.cli import (
     CSV_BLOCK_ROWS,
     Table,
@@ -349,6 +349,14 @@ class TestWignerCommand:
         zero = ["wigner", "--tprime", "1.9", "--rd", "0", "--s-range=-3:3", "--k-nodes", "0"]
         assert main(zero + ["--out", str(tmp_path / "zero.csv")]) == 1
 
+    def test_grid_without_positive_value_is_exit_2(self, tmp_path, capsys):
+        # every W underflows to 0 this far out, so w / max W would be 0/0
+        out = tmp_path / "far.csv"
+        argv = ["wigner", "--tprime", "1", "--rd", "0", "--s-range=200:201", "--k-nodes", "4"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "cannot be normalized" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScalarCommands:
     def test_purity_values(self, tmp_path):
@@ -425,15 +433,6 @@ class TestCriticalRdCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def quad16_run(tmp_path_factory):
-    """Exit code and report of one ``validate --quad-nodes 16`` run: 16
-    nodes reach t' = 2, and three oracle parameter sets lie past that."""
-    out = tmp_path_factory.mktemp("quad16") / "report.json"
-    code = main(["validate", "--quad-nodes", "16", "--out", str(out)])
-    return code, json.loads(out.read_text())
-
-
 class TestValidateCommand:
     def test_fast_level_green(self, tmp_path):
         out = tmp_path / "report.json"
@@ -481,22 +480,20 @@ class TestValidateCommand:
                 covered.add(getattr(importlib.import_module(f"dqwalk.{module}"), name))
         assert {c: f for c, f in routes.items() if f not in covered} == {}
 
-    def test_quadrature_ceiling_keeps_the_report(self, quad16_run):
-        code, report = quad16_run
-        assert code == 2
-        assert report["passed"] is False
-        refused = [r for r in report["checks"] if "reason" in r]
-        assert [r["name"] for r in refused] == [
-            "oracle_equivalence(t'=4.0,r_d=0.5)",
-            "oracle_equivalence(t'=8.0,r_d=2.0)",
-            "oracle_equivalence(t'=10.0,r_d=10.0)",
-        ]
-        for r in refused:
-            assert not r["passed"] and r["value"] is None
-            assert "exceeds validity ceiling 2.0 for 16 nodes" in r["reason"]
-        for prefix in ("normalization", "hermiticity", "wigner_marginal", "wigner_total_mass"):
-            found = [r for r in report["checks"] if r["name"].startswith(prefix)]
-            assert found and all(r["passed"] for r in found)
+    def test_ring_records_state_their_numerics(self, full_run):
+        """Every record computed on a ring carries the ring's size and its
+        image bound, and the bound is within IMAGE_TOL."""
+        on_ring = [r for r in full_run[1]["checks"] if "nodes" in r]
+        prefixes = {r["name"].split("(")[0] for r in on_ring}
+        assert prefixes == {
+            "wigner_defining_sum", "probability_profile", "normalization", "hermiticity",
+            "variance_law", "characteristic_function", "purity_consistency",
+            "asymptotic_entropy_agreement", "skellam_spectrum",
+        }
+        for r in on_ring:
+            nodes = r["nodes"]
+            assert 16 <= nodes <= fourier.MAX_NODES and nodes & (nodes - 1) == 0
+            assert 0.0 <= r["image_bound"] <= fourier.IMAGE_TOL
 
 
 #: a valid invocation of every CSV command, without ``--out``
@@ -511,7 +508,7 @@ PARAM_FLAGS = ("--tprime", "--rd", "--omega-over-hbar", "--d-coeff", "--t")
 #: (command, flag) pairs that were accepted and never read
 REMOVED_FLAGS = [
     *[(command, "--mass-tol") for command in sorted(BASE_ARGV)],
-    *[(command, "--quad-nodes") for command in sorted(BASE_ARGV)],
+    *[(command, "--quad-nodes") for command in [*sorted(BASE_ARGV), "validate"]],
     *[(command, "--xi") for command in ("purity", "entropy", "variance")],
     *[
         (command, flag)
@@ -591,7 +588,7 @@ class TestRejectedFlags:
         "command,flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS]
     )
     def test_removed_flag_exits_1(self, command, flag, tmp_path, capsys):
-        argv = BASE_ARGV[command] + [flag, "1", "--out", str(tmp_path / "x.csv")]
+        argv = BASE_ARGV.get(command, [command]) + [flag, "1", "--out", str(tmp_path / "x.csv")]
         assert exit_code(argv) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
@@ -610,15 +607,22 @@ class TestRejectedFlags:
 
 
 class TestExitCodes:
-    def test_quadrature_ceiling_is_exit_2(self, quad16_run):
-        # validate with too few quadrature nodes for its parameter sets
-        assert quad16_run[0] == 2
+    def test_quadrature_ceiling_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a validate point whose ring would need more than MAX_NODES sites
+        monkeypatch.setattr(fourier, "MAX_NODES", 16)
+        validate._ring_window.cache_clear()
+        out = tmp_path / "report.json"
+        try:
+            assert main(["validate", "--out", str(out)]) == 2
+        finally:
+            validate._ring_window.cache_clear()
+        assert "no ring of at most 16 sites" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["wigner", "--tprime", "3", "--rd", "0.5", "--s-range=-2:2", "--k-nodes", "10000000000000"],
         ["prob", "--tprime", "3", "--rd", "0.5", "--s-range=-5000000000000:5000000000000"],
-        ["validate", "--quad-nodes", "10000000"],
-    ], ids=["wigner-k-nodes", "prob-sites", "validate-quad-nodes"])
+    ], ids=["wigner-k-nodes", "prob-sites"])
     def test_oversize_grid_is_exit_1(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -106,10 +106,10 @@ class TestProbability:
     @pytest.mark.parametrize("r_d", RD_GRID)
     @pytest.mark.parametrize("tprime", [0.5, 5.0, 31.8])
     def test_normalization(self, tprime, r_d):
-        from dqwalk.spectral import window_half_width
+        from dqwalk.fourier import half_width
 
         p, tr = params(tprime, r_d)
-        half, _ = window_half_width(p)
+        half = half_width(p)
         prof = probability_profile(np.arange(-half, half + 1), p, tr)
         assert abs(prof.sum() - 1.0) < 1e-10
 
@@ -120,10 +120,10 @@ class TestProbability:
 
     @pytest.mark.parametrize("r_d", [0.0, 0.5, 5.0])
     def test_second_moment_matches_variance(self, r_d):
-        from dqwalk.spectral import window_half_width
+        from dqwalk.fourier import half_width
 
         p, tr = params(6.0, r_d)
-        half, _ = window_half_width(p)
+        half = half_width(p)
         s = np.arange(-half, half + 1)
         second = float((s.astype(float) ** 2 * probability_profile(s, p, tr)).sum())
         expected = variance(p)
@@ -240,10 +240,10 @@ class TestCharacteristicFunction:
     @pytest.mark.parametrize("xi", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("tprime,r_d", [(1.0, 0.2), (4.0, 1.0), (10.0, 0.05)])
     def test_equals_lattice_sum(self, xi, tprime, r_d):
-        from dqwalk.spectral import window_half_width
+        from dqwalk.fourier import half_width
 
         p, tr = params(tprime, r_d)
-        half, _ = window_half_width(p)
+        half = half_width(p)
         s = np.arange(-half, half + 1)
         lattice = float((probability_profile(s, p, tr) * np.cos(xi * s)).sum())
         assert abs(characteristic_function(xi, p) - lattice) < 1e-10

@@ -4,12 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from dqwalk.core import ModelParams, density_element, truncation_for
+from dqwalk import fourier
+from dqwalk.bessel import bessel_j_orders
+from dqwalk.core import (
+    I_POWERS,
+    ModelParams,
+    density_element,
+    probability_profile,
+    truncation_for,
+)
 from dqwalk.exceptions import QuadratureLimitError
 from dqwalk.fourier import (
+    IMAGE_TOL,
+    MASS_TOL,
     QuadratureSpec,
     density_block_quadrature,
+    half_width,
+    image_bound,
     propagator_exponent,
+    ring_size,
+    ring_window,
+    tail_bound,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -29,7 +44,11 @@ class TestQuadratureSpec:
         assert np.allclose(np.diff(k), TWO_PI / 16)
 
     def test_validity_ceiling(self):
-        assert QuadratureSpec(nodes_per_axis=256).max_tprime() == 32.0
+        # the image bound, not t', decides: the 16-site ring cannot hold
+        # [-20, 20] even at t' = 1, and 256 sites hold t' = 40 near the origin
+        assert image_bound(np.arange(-20, 21), ModelParams(1.0, 0.0), 16) > 1.0
+        assert image_bound(np.arange(-3, 4), ModelParams(1.0, 0.0), 16) < 1e-10
+        assert image_bound(np.array([0]), ModelParams(40.0, 0.1), 256) < IMAGE_TOL
 
     def test_rejects_bad_node_counts(self):
         with pytest.raises(ValueError):
@@ -100,13 +119,12 @@ class TestDensityQuadrature:
         assert np.max(np.abs(block - block.conj().T)) < 1e-12
 
     def test_ceiling_enforced(self):
+        # the sites 16 and -16 alias onto site 0, where P_0 = J_0(1)^2 = 0.586
+        with pytest.raises(QuadratureLimitError, match="image bound"):
+            density_block_quadrature(np.arange(-20, 21), ModelParams(1.0, 0.0), QuadratureSpec(16))
         p = ModelParams(40.0, 0.1)
-        with pytest.raises(QuadratureLimitError):
-            element_quadrature(0, 0, p)
-        # more nodes raise the ceiling
-        spec = QuadratureSpec(nodes_per_axis=512)
-        val = element_quadrature(0, 0, p, spec)
-        assert 0.0 < val.real < 1.0
+        series = density_element(0, 0, p, truncation_for(p))
+        assert abs(element_quadrature(0, 0, p) - series) < 1e-11
 
     def test_spectral_convergence(self):
         # doubling the nodes should change nothing at machine precision
@@ -114,6 +132,69 @@ class TestDensityQuadrature:
         coarse = element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=128))
         fine = element_quadrature(2, -1, p, QuadratureSpec(nodes_per_axis=256))
         assert abs(coarse - fine) < 1e-13
+
+
+def line_block(s_values, p):
+    """<s1|rho|s2> of the infinite line from the Bessel series,
+    i^(s1-s2) sum_n J_{s1+n} J_{s2+n} w_n; reference only."""
+    trunc = truncation_for(p)
+    a = bessel_j_orders(np.asarray(s_values)[:, None] + trunc.orders()[None, :], p.tprime)
+    phase = I_POWERS[np.subtract.outer(s_values, s_values) % 4]
+    return phase * ((a * trunc.weights) @ a.T)
+
+
+class TestImageBound:
+    @pytest.mark.parametrize("tprime,r_d", [
+        (0.0, 0.0), (0.0, 3.0), (2.0, 0.0), (31.8, 0.0), (5.0, 0.5), (40.0, 10.0),
+        (0.0, 10.0), (10.0, 100.0), (1000.0, 10.0),
+    ])
+    def test_tail_bound_covers_the_profile(self, tprime, r_d):
+        # the closed form bounds the mass outside [-L, L] that the series leaves there
+        p = ModelParams(tprime, r_d)
+        trunc = truncation_for(p)
+        for half in [0, 1, 5, 20, int(tprime), int(tprime + 3.0 * math.sqrt(p.x)), half_width(p)]:
+            probs = probability_profile(np.arange(-half, half + 1), p, trunc)
+            assert tail_bound(p, half) >= 1.0 - probs.sum() - 1e-15
+
+    @pytest.mark.parametrize("tprime,r_d", [(0.0, 0.0), (1.0, 0.0), (40.0, 10.0), (100.0, 0.005)])
+    def test_half_width_is_the_smallest_within_mass_tol(self, tprime, r_d):
+        p = ModelParams(tprime, r_d)
+        half = half_width(p)
+        assert tail_bound(p, half) <= MASS_TOL
+        assert half == 0 or tail_bound(p, half - 1) > MASS_TOL
+
+    # ROADMAP item 16's table: (t', r_D), ring size, sites (None: the whole ring)
+    @pytest.mark.parametrize("tprime,r_d,nodes,half", [
+        (1.0, 0.0, 16, 20), (1.0, 0.0, 16, 3), (4.0, 0.5, 16, 3), (30.0, 0.5, 64, 20),
+        (200.0, 0.0, 256, 20), (40.0, 10.0, 256, None), (40.0, 10.0, 512, None),
+        (12.0, 0.25, 64, None), (100.0, 0.005, 256, None),
+    ])
+    def test_bound_covers_the_gap_to_the_line(self, tprime, r_d, nodes, half, monkeypatch):
+        monkeypatch.setattr(fourier, "IMAGE_TOL", math.inf)  # measure refused blocks too
+        p = ModelParams(tprime, r_d)
+        sites = np.arange(-nodes // 2, nodes // 2) if half is None else np.arange(-half, half + 1)
+        ring = density_block_quadrature(sites, p, QuadratureSpec(nodes))
+        gap = float(np.abs(ring - line_block(sites, p)).max())
+        # the series reference is itself good to about 1e-15
+        assert gap <= image_bound(sites, p, nodes) + 1e-14
+
+    def test_ring_size_is_the_smallest_within_image_tol(self):
+        p = ModelParams(40.0, 10.0)
+        sites = np.arange(-half_width(p), half_width(p) + 1)
+        nodes = ring_size(sites, p)
+        assert image_bound(sites, p, nodes) <= IMAGE_TOL < image_bound(sites, p, nodes // 2)
+
+    def test_ring_size_refuses_past_max_nodes(self):
+        with pytest.raises(QuadratureLimitError, match="no ring"):
+            ring_size(np.arange(-1500, 1501), ModelParams(1000.0, 10.0))
+
+    def test_ring_window_is_the_mass_complete_block(self):
+        p = ModelParams(8.0, 2.0)
+        window = ring_window(p)
+        assert window.half_width == half_width(p)
+        assert window.image_bound == image_bound(window.sites, p, window.nodes) <= IMAGE_TOL
+        ring = density_block_quadrature(window.sites, p, QuadratureSpec(window.nodes))
+        assert np.array_equal(window.elements, ring)
 
 
 class TestMomentumDiagonal:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqwalk.core import ModelParams, probability_profile, truncation_for, variance
-from dqwalk.spectral import entropy, window_half_width
+from dqwalk.fourier import half_width
+from dqwalk.spectral import entropy
 from dqwalk.wigner import wigner_row
 
 TPRIME = st.floats(min_value=0.0, max_value=1e3)
@@ -20,8 +21,11 @@ K = st.floats(min_value=0.0, max_value=math.pi)
 
 
 def window(p):
-    """Sites of the mass-complete window and the truncation for ``p``."""
-    half, _ = window_half_width(p)
+    """Sites of the mass-complete window, at least [-20, 20], and the
+    truncation for ``p``.  The floor keeps sites +/-1: below t' of about
+    1e-6 the window leaves out less than 1e-12 of the mass at [0, 0], but
+    all of the variance t'^2/2 sits outside it."""
+    half = max(half_width(p), 20)
     return np.arange(-half, half + 1), truncation_for(p)
 
 

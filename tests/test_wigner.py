@@ -6,7 +6,7 @@ import pytest
 from dqwalk.bessel import bessel_i_scaled_orders, bessel_j_orders
 from dqwalk.core import ModelParams, probability_profile, truncation_for
 from dqwalk.exceptions import BracketError, NumericalError, WindowTooSmallError
-from dqwalk.spectral import build_window
+from dqwalk.fourier import ring_window
 from dqwalk.wigner import (
     critical_rd,
     k_grid,
@@ -103,7 +103,7 @@ class TestConsistency:
 
     def test_matches_defining_sum_from_density(self):
         p, tr = setup(4.0, 0.8)
-        window = build_window(p)
+        window = ring_window(p)
         for s, k in [(0, 0.0), (1, 1.3), (-5, math.pi), (3, -0.6)]:
             assert abs(
                 wigner_value(s, k, p, tr) - wigner_from_density(s, k, window)
@@ -111,7 +111,7 @@ class TestConsistency:
 
     def test_from_density_window_guard(self):
         p, tr = setup(1.0, 0.1)
-        window = build_window(p)
+        window = ring_window(p)
         with pytest.raises(WindowTooSmallError):
             wigner_from_density(window.half_width + 1, 0.5, window)
 
