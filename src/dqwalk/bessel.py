@@ -244,18 +244,6 @@ def bessel_i_scaled_orders(orders: np.ndarray, x: float) -> np.ndarray:
     return row[mag]
 
 
-def scaled_i_tail(n_max: int, x: float) -> float:
-    """Neglected mass ``sum_{|n| > n_max} e^{-x} I_n(x)``.
-
-    The neglected terms of the recurrence row are summed directly, so the
-    result keeps its relative accuracy down to underflow; the complement
-    ``1 - (retained mass)`` would stop near 1e-16.  Kept as the oracle of
-    :func:`truncation_order`'s tail in ``tests/test_bessel.py``.
-    """
-    _check_row_args(n_max, x)
-    return 2.0 * float(_scaled_i_pass(x)[n_max + 1 :].sum())
-
-
 def truncation_order(
     tprime: float, x: float, eps_tail: float = EPS_TAIL_DEFAULT
 ) -> SeriesTruncation:
@@ -295,7 +283,7 @@ def truncation_order(
         n_max = int(n_max * 1.25) + 5
     if n_max > MAX_ORDER:
         raise ValueError(
-            f"truncation order {n_max} for (tprime, x) = ({tprime:.6g}, {x:.6g}) "
+            f"truncation order {n_max:.6g} for (tprime, x) = ({tprime:.6g}, {x:.6g}) "
             f"is above {MAX_ORDER}"
         )
     return SeriesTruncation(

@@ -268,13 +268,17 @@ def cmd_scalar(args):
     t_list = t_values.tolist()
     n = len(t_list)
     # columns (r_D, value) of each block, with no per-row tuples
-    rows = Table((t_list,), [
-        ((), np.column_stack((
-            np.full(n, r),
-            np.fromiter((value(p=ModelParams(tprime=t, r_d=r)) for t in t_list), float, n),
-        )))
-        for r in rd_values
-    ])
+    blocks = []
+    for r in rd_values:
+        vals = np.fromiter((value(p=ModelParams(tprime=t, r_d=r)) for t in t_list), float, n)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericalError(
+                f"{args.command} is {vals[i]} at (t, r_D) = ({t_list[i]:.6g}, {r:.6g})"
+            )
+        blocks.append(((), np.column_stack((np.full(n, r), vals))))
+    rows = Table((t_list,), blocks)
     return ["t", "r_d", "value"], rows, {"t_grid": args.t_grid, "rd_list": rd_values, **flags}
 
 

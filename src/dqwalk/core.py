@@ -22,7 +22,6 @@ import numpy as np
 from .bessel import (
     EPS_TAIL_DEFAULT,
     SeriesTruncation,
-    bessel_i_scaled_orders,
     bessel_i_scaled_row,
     bessel_j_orders,
     bessel_j_row,
@@ -33,10 +32,6 @@ from .bessel import (
 #: i^m for m = 0..3; indexing by (s1 - s2) % 4 gives the density-matrix
 #: phase exactly, with no trigonometric roundoff
 I_POWERS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
-
-#: finite-difference step of :func:`moment_via_cf`
-CF_STEP = 1e-3
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -79,9 +74,9 @@ def density_element(s1: int, s2: int, p: ModelParams, trunc: SeriesTruncation) -
     """Matrix element <s1|rho(t)|s2> of the reduced density matrix.
 
     Hermitian by construction: the n-sum is real and the phase i^(s1-s2)
-    conjugates under index swap.  Kept as the series oracle of the ring
-    (:func:`dqwalk.fourier.density_block_quadrature`) in
-    ``tests/test_fourier.py`` and ``tests/test_spectral.py``.
+    conjugates under index swap.  No production route calls it: it is the
+    elementwise series oracle of the ring
+    (:func:`dqwalk.fourier.density_block_quadrature`) in ``tests/``.
     """
     check_truncation(trunc, p.tprime, p.x)
     n = trunc.orders()
@@ -118,21 +113,6 @@ def probability_profile(
     return site_correlation(s_values, trunc, lambda m: np.square(bessel_j_orders(m, p.tprime)))
 
 
-def probability_qw(s: int, tprime: float) -> float:
-    """Closed-system (D = 0) site probability, J_s(t')^2; the r_D = 0 oracle
-    of :func:`probability_profile` in ``tests/test_core.py``."""
-    if tprime < 0:
-        raise ValueError(f"tprime must be >= 0, got {tprime}")
-    j = bessel_j_orders(np.array([s]), tprime)[0]
-    return float(j * j)
-
-
-def probability_crw(s: int, x: float) -> float:
-    """Classical-random-walk site probability e^{-x} I_s(x), x = 2Dt; the
-    t' -> 0 oracle of :func:`probability_profile` in ``tests/test_core.py``."""
-    return float(bessel_i_scaled_orders(np.array([s]), x)[0])
-
-
 def purity(p: ModelParams) -> float:
     """Tr rho^2 = e^{-4Dt} I_0(4Dt), evaluated in scaled form."""
     return float(bessel_i_scaled_row(0, 2.0 * p.x)[0])
@@ -157,41 +137,3 @@ def characteristic_function(xi: float, p: ModelParams) -> float:
 def variance(p: ModelParams) -> float:
     """Position variance t'^2 / 2 + r_D t': ballistic term plus diffusion."""
     return 0.5 * p.tprime * p.tprime + p.r_d * p.tprime
-
-
-def moment_via_cf(order: int, p: ModelParams) -> float:
-    """Position moment from derivatives of the characteristic function.
-
-    Central finite differences at xi = 0 with steps CF_STEP and CF_STEP/2
-    and one Richardson refinement.
-    The m-th moment carries a 1/i^m factor; G is real and even, so the
-    first moment is zero by symmetry and the second is -G''(0).
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-
-    def deriv(step: float) -> float:
-        if order == 1:
-            return (characteristic_function(step, p) - characteristic_function(-step, p)) / (
-                2.0 * step
-            )
-        return (
-            characteristic_function(step, p)
-            - 2.0 * characteristic_function(0.0, p)
-            + characteristic_function(-step, p)
-        ) / (step * step)
-
-    refined = (4.0 * deriv(0.5 * CF_STEP) - deriv(CF_STEP)) / 3.0
-    return refined if order == 1 else -refined
-
-
-def anderson_velocity() -> float:
-    """Spread rate sqrt(variance) / t' = 1/sqrt(2) sites per unit t' of the
-    dissipation-free walk.
-
-    This is the growth rate of the standard deviation, not the speed of the
-    ballistic front: the peaks of J_s(t')^2 sit near |s| = t' (s = +/-29 at
-    t' = 31.8, 0.91 per unit t'), so 1/sqrt(2) bounds the front speed from
-    below.
-    """
-    return 1.0 / math.sqrt(2.0)

@@ -5,9 +5,6 @@ exact N-site ring, which shares no Bessel code with this sum."""
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 
 from .bessel import EPS_TAIL_DEFAULT, truncation_order
@@ -40,22 +37,3 @@ def entropy(p: ModelParams, eps_tail: float = EPS_TAIL_DEFAULT) -> float:
     w = w[w > 0.0]
     terms = w * np.log(w)
     return float(-(terms[0] + 2.0 * terms[1:].sum()))
-
-
-def entropy_small_dissipation(p: ModelParams) -> float:
-    """Leading small-dissipation law -x ln x, x = r_d t' << 1.
-
-    Expanding the exact spectrum, w_0 = 1 - x + O(x^2) and
-    w_{+/-1} = x/2 + O(x^2), gives S = -x ln x + x (1 + ln 2) + O(x^2 ln x).
-    The next term is therefore only a factor (1 + ln 2) / |ln x| below the
-    leading one: 32% at x = 0.005 and still 9% at x = 1e-8.
-    """
-    x = p.x
-    if x >= 1.0:
-        warnings.warn(
-            f"small-dissipation law evaluated outside its regime (x = {x})",
-            stacklevel=2,
-        )
-    if x == 0.0:
-        return 0.0
-    return -x * math.log(x)

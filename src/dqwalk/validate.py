@@ -1,6 +1,6 @@
-"""Self-validation suite: production routes against the ring, marginals,
-consistency.  Each check returns records with the measured residual, its
-bound and ``covers``: the production function the record checks
+"""Self-validation suite: production routes against the ring, and the
+Wigner marginals.  Each check returns records with the measured residual,
+its bound and ``covers``: the production function the record checks
 (``"core.purity"``), or None for a self-check of an oracle.  Every check
 here is the one implementation of its comparison; the acceptance tests
 call these.  The density-matrix oracle is :func:`dqwalk.fourier.ring_window`,
@@ -152,18 +152,6 @@ def check_purity_consistency() -> list[dict]:
     return records
 
 
-def check_convolution_identity() -> list[dict]:
-    p = ModelParams(tprime=5.0, r_d=0.5)
-    trunc = core.truncation_for(p)
-    dev = 0.0
-    for s in range(-10, 10):
-        for k in np.linspace(-math.pi, math.pi, 20):
-            direct = wigner.wigner_value(s, float(k), p, trunc)
-            conv = wigner.wigner_convolution(s, float(k), p, trunc)
-            dev = max(dev, abs(direct - conv))
-    return [_record("wigner_convolution_identity(t'=5,r_d=0.5)", dev, 1e-9, None)]
-
-
 def check_asymptotic_entropy() -> list[dict]:
     """Exact-spectrum entropy against the eigensolve of the ring window;
     the two are the same quantity (see ``spectral.entropy``), so the bound
@@ -201,7 +189,6 @@ def run_checks(level: str = "fast") -> dict:
     records += check_characteristic_function()
     records += check_wigner_marginals()
     records += check_purity_consistency()
-    records += check_convolution_identity()
     if level == "full":
         records += check_asymptotic_entropy()
         records += check_skellam_spectrum()

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (
-    SeriesTruncation,
-    bessel_i_scaled_orders,
-    bessel_j_orders,
-    check_truncation,
-)
+from .bessel import SeriesTruncation, bessel_j_orders, check_truncation
 from .core import ModelParams, site_correlation, truncation_for
 from .exceptions import BracketError, NumericalError, WindowTooSmallError
 
@@ -86,36 +81,6 @@ def wigner_value(s: int, k: float, p: ModelParams, trunc: SeriesTruncation) -> f
     return float(wigner_row(np.array([s]), k, p, trunc)[0])
 
 
-def wigner_qw(s: int, k: float, tprime: float) -> float:
-    """Dissipation-free limit, (1/2pi) J_{2s}(2 t' sin(k/2)); the r_D = 0
-    oracle of :func:`wigner_value` in ``tests/test_wigner.py``."""
-    _check_k(k)
-    z = abs(2.0 * tprime * math.sin(0.5 * k))
-    return float(bessel_j_orders(np.array([2 * s]), z)[0]) / TWO_PI
-
-
-def wigner_crw(s: int, x: float) -> float:
-    """Pure-diffusion limit, e^{-x} I_s(x) / 2pi; k-independent, nonnegative.
-    The t' -> 0 oracle of :func:`wigner_value` in ``tests/test_wigner.py``."""
-    return float(bessel_i_scaled_orders(np.array([s]), x)[0]) / TWO_PI
-
-
-def wigner_convolution(
-    s: int, k: float, p: ModelParams, trunc: SeriesTruncation
-) -> float:
-    """Site convolution of the quantum and classical limits.
-
-    2pi sum_n W_qw(s - n, k) W_crw(n); equals :func:`wigner_value` and is
-    kept as its cross-check in ``validate`` and acceptance criterion 7.
-    """
-    _check_k(k)
-    check_truncation(trunc, p.tprime, p.x)
-    n = trunc.orders()
-    z = abs(2.0 * p.tprime * math.sin(0.5 * k))
-    j = bessel_j_orders(2 * (s - n), z) / TWO_PI
-    return TWO_PI * float(np.sum(j * (trunc.weights / TWO_PI)))
-
-
 def wigner_from_density(s: int, k: float, window) -> float:
     """Wigner value from stored density elements via the defining sum
 
@@ -125,6 +90,15 @@ def wigner_from_density(s: int, k: float, window) -> float:
     it is checked against 1e-10 and discarded.  On a ring window
     (:func:`dqwalk.fourier.ring_window`) it is the Bessel-free oracle of
     :func:`wigner_grid` in ``validate``, of the tests and of the benchmark.
+
+    Only the pairs with both sites inside the window are summed.  If the
+    window leaves out at most eps of the probability, then, as
+    |rho(a, b)| <= sqrt(P_a P_b) and each dropped pair has a site outside,
+    Cauchy-Schwarz bounds the dropped pairs by sqrt(eps)/pi.  If every
+    dropped pair has both sites outside a [-L, L] that leaves out at most
+    eps, the bound is eps/(2 pi); on a window of half-width H that holds
+    for |s| <= (H - L)/2.  A ring window adds at most its ``image_bound``
+    per summed term.
     """
     _check_k(k)
     half = window.half_width

@@ -2,8 +2,9 @@
 
 Each test prints PASS or FAIL lines (visible with ``pytest -v -s`` or in
 the failure report) and then asserts at the pinned tolerance.  Criteria
-1, 2, 4, 5, 6, 7, 9d and 10 run the matching ``dqwalk.validate`` check,
-the one implementation of that comparison, and print one line per record.
+1, 2, 4, 5, 6, 9d and 10 run the matching ``dqwalk.validate`` check, the
+one implementation of that comparison, and print one line per record;
+criterion 7 compares the Wigner grid with a ``scipy.special`` sum.
 Every criterion is expected to pass.  Criteria 3b, 9c and 9d check the
 paper's claims in the form the exact solution actually takes; their
 docstrings derive that form (the shape of the r_D = 10 profile, the
@@ -13,12 +14,12 @@ next-order small-dissipation term, and the exact Skellam spectrum).
 import math
 
 import numpy as np
-from scipy.special import ive
+from scipy.special import ive, jv
 
 from dqwalk import validate
 from dqwalk.core import (
     ModelParams,
-    moment_via_cf,
+    characteristic_function,
     probability_profile,
     purity,
     truncation_for,
@@ -142,7 +143,19 @@ def test_criterion_06_wigner_marginals():
 
 
 def test_criterion_07_convolution_identity():
-    assert_records("criterion 7", validate.check_convolution_identity())
+    """The Wigner grid is the site convolution of the coherent and classical
+    limits, sum_n J_{2(s-n)}(2 t' sin(k/2)) e^{-x} I_n(x) / 2pi, summed here
+    from ``scipy.special``, which shares no code with the Miller rows."""
+    p = ModelParams(5.0, 0.5)
+    k = np.linspace(-math.pi, math.pi, 20)
+    grid = wigner_grid(-10, 9, p, k, truncation_for(p))
+    n = np.arange(-60, 61)
+    orders = 2 * (grid.sites[:, None, None] - n[None, :, None])
+    terms = jv(orders, 2.0 * p.tprime * np.sin(0.5 * k)[None, None, :]) * ive(n, p.x)[:, None]
+    dev = float(np.abs(grid.values - terms.sum(axis=1) / (2.0 * math.pi)).max())
+    ok = dev < 1e-9
+    verdict("criterion 7", ok, f"Wigner grid against the scipy convolution {dev:.3e} (< 1e-9)")
+    assert ok
 
 
 def test_criterion_08_classical_threshold():
@@ -225,8 +238,16 @@ def test_criterion_09d_asymptotic_entropy():
 
 def test_criterion_10_characteristic_function():
     assert_records("criterion 10", validate.check_characteristic_function())
+    # the second moment is -G''(0): central second differences at steps h
+    # and h/2, with one Richardson refinement
     p = ModelParams(10.0, 1.0)
-    rel = abs(moment_via_cf(2, p) - variance(p)) / variance(p)
+
+    def second_difference(h):
+        g = characteristic_function
+        return (g(h, p) - 2.0 * g(0.0, p) + g(-h, p)) / (h * h)
+
+    moment = -(4.0 * second_difference(5e-4) - second_difference(1e-3)) / 3.0
+    rel = abs(moment - variance(p)) / variance(p)
     ok = rel < 1e-5
     verdict("criterion 10", ok, f"second-moment relative error {rel:.3e} (< 1e-5)")
     assert ok

@@ -16,7 +16,6 @@ from dqwalk.bessel import (
     bessel_j_orders,
     bessel_j_row,
     check_truncation,
-    scaled_i_tail,
     truncation_order,
 )
 from dqwalk.exceptions import NumericalError, TruncationMismatchError
@@ -131,13 +130,17 @@ class TestTruncationOrder:
 
     def test_scaled_i_tail_bound(self):
         trunc = truncation_order(0.0, 100.0, 1e-14)
-        assert scaled_i_tail(trunc.n_max, 100.0) < 1e-14
+        tail = 2.0 * special.ive(np.arange(trunc.n_max + 1, trunc.n_max + 400), 100.0).sum()
+        assert tail < 1e-14
 
     @pytest.mark.parametrize("n_max,x", [(5, 30.0), (20, 7.0), (54, 7.0)])
     def test_scaled_i_tail_against_series_reference(self, n_max, x):
-        # (54, 7) is 1.6e-46, far below the 1e-16 floor of 1 - (retained mass)
+        # the row's tail, which truncation_order sums, keeps its relative
+        # accuracy: (54, 7) is 1.6e-46, far below the 1e-16 floor of
+        # 1 - (retained mass)
+        tail = 2.0 * bessel_i_scaled_row(n_max + 199, x)[n_max + 1 :].sum()
         ref = 2.0 * float(sum(i_scaled_series(n, x) for n in range(n_max + 1, n_max + 200)))
-        assert abs(scaled_i_tail(n_max, x) - ref) < 1e-12 * ref
+        assert abs(tail - ref) < 1e-12 * ref
 
     def test_eps_below_roundoff_floor_returns(self):
         result = []
@@ -147,7 +150,8 @@ class TestTruncationOrder:
         worker.start()
         worker.join(timeout=5.0)
         assert not worker.is_alive()
-        assert scaled_i_tail(result[0].n_max, 7.0) < 1e-17
+        n_max = result[0].n_max
+        assert 2.0 * special.ive(np.arange(n_max + 1, n_max + 200), 7.0).sum() < 1e-17
 
     def test_growth_is_capped(self, monkeypatch):
         # growth stops at the end of the recurrence row, which must be finite

@@ -641,6 +641,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "MAX_ROWS", rows)
         assert main(BASE_ARGV[command] + ["--out", str(out)]) == 0
 
+    def test_scalar_value_that_is_not_finite_is_exit_2(self, tmp_path, capsys):
+        # t'^2 / 2 overflows at the grid's second node, t' = 1e200: the
+        # command fails there instead of writing inf, and writes nothing
+        out = tmp_path / "v.csv"
+        argv = ["variance", "--t-grid", "1:1e200:1e200", "--rd-list", "0,1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "variance is inf at (t, r_D) = (1e+200, 0)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncation_order_past_the_cap_is_printed_short(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["prob", "--tprime", "1e308", "--rd", "0", "--s-range=0:0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "truncation order 1e+308 for" in err and len(err) < 200
+        assert not out.exists()
+
     def test_unwritable_output_is_exit_3(self, capsys):
         code = main(
             ["prob", "--tprime", "1", "--rd", "0", "--s-range=0:1", "--out", "/proc/no/such/dir/x.csv"]

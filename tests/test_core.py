@@ -3,17 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ive, jv
 
 from dqwalk.bessel import bessel_i_scaled_orders, bessel_j_orders, truncation_order
 from dqwalk.core import (
     ModelParams,
-    anderson_velocity,
     characteristic_function,
     density_element,
-    moment_via_cf,
-    probability_crw,
     probability_profile,
-    probability_qw,
     purity,
     truncation_for,
     variance,
@@ -172,34 +169,40 @@ class TestProfileKernel:
 
 
 class TestLimits:
+    """The r_D = 0 profile is the coherent walk J_s(t')^2 and the t' -> 0
+    profile at fixed x the classical walk e^{-x} I_s(x), both from
+    ``scipy.special``, which shares no code with the Miller rows."""
+
     def test_qw_at_zero(self):
-        assert probability_qw(0, 0.0) == 1.0
+        p, tr = params(0.0, 0.0)
+        assert probability_profile(np.array([0]), p, tr)[0] == 1.0
 
     def test_qw_frozen_value(self):
-        assert probability_qw(1, 1.0) == pytest.approx(J1_1_SQ, abs=1e-13)
+        p, tr = params(1.0, 0.0)
+        assert probability_profile(np.array([1]), p, tr)[0] == pytest.approx(J1_1_SQ, abs=1e-13)
 
     @pytest.mark.parametrize("s", [-4, 0, 3])
     @pytest.mark.parametrize("tprime", [0.5, 2.0, 9.0])
     def test_qw_equals_dissipation_free_series(self, s, tprime):
         p, tr = params(tprime, 0.0)
         assert probability_profile(np.array([s]), p, tr)[0] == pytest.approx(
-            probability_qw(s, tprime), abs=1e-14
+            jv(s, tprime) ** 2, abs=1e-14
         )
 
     def test_crw_at_zero(self):
-        assert probability_crw(0, 0.0) == 1.0
+        p, tr = params(0.0, 3.0)
+        assert probability_profile(np.array([0, 1]), p, tr).tolist() == [1.0, 0.0]
 
     def test_crw_gaussian_asymptote(self):
         # P_0 -> 1/sqrt(2 pi x) at large x
         x = 100.0
-        assert probability_crw(0, x) == pytest.approx(
+        assert bessel_i_scaled_orders(np.array([0]), x)[0] == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi * x), rel=2e-3
         )
 
     def test_crw_normalization(self):
         trunc = truncation_order(0.0, 10.0)
-        total = sum(probability_crw(s, 10.0) for s in range(-trunc.n_max, trunc.n_max + 1))
-        assert abs(total - 1.0) < 1e-12
+        assert abs(trunc.weights.sum() - 1.0) < 1e-12
 
     def test_hopping_free_limit_reaches_crw(self):
         # Omega -> 0 at fixed x: take tprime = eps, r_d = x / eps
@@ -207,7 +210,7 @@ class TestLimits:
         p, tr = params(eps, x / eps)
         for s in [0, 1, 3]:
             assert probability_profile(np.array([s]), p, tr)[0] == pytest.approx(
-                probability_crw(s, x), abs=1e-9
+                ive(s, x), abs=1e-9
             )
 
 
@@ -249,39 +252,22 @@ class TestCharacteristicFunction:
         assert abs(characteristic_function(xi, p) - lattice) < 1e-10
 
 
-class TestMoments:
-    def test_first_moment_vanishes(self):
-        assert abs(moment_via_cf(1, ModelParams(3.0, 0.7))) < 1e-8
-
-    def test_second_moment_is_variance(self):
-        p = ModelParams(2.0, 1.0)
-        assert moment_via_cf(2, p) == pytest.approx(4.0, abs=1e-5)
-
-    def test_degenerate_point(self):
-        assert abs(moment_via_cf(2, ModelParams(0.0, 0.0))) < 1e-8
-
-    def test_rejects_bad_order_and_step(self):
-        with pytest.raises(ValueError):
-            moment_via_cf(3, ModelParams(1.0, 0.0))
-
-
 class TestVarianceAndVelocity:
     def test_variance_examples(self):
         assert variance(ModelParams(0.0, 4.0)) == 0.0
         assert variance(ModelParams(2.0, 0.0)) == 2.0
         assert variance(ModelParams(2.0, 1.0)) == 4.0
 
-    def test_anderson_velocity_value(self):
-        assert anderson_velocity() == pytest.approx(0.7071067811865476, abs=1e-15)
-
     def test_deviation_rate_identity(self):
+        # the dissipation-free spread rate sqrt(variance) / t' is 1/sqrt(2)
         for tau in [1.0, 10.0, 31.8]:
             assert math.sqrt(variance(ModelParams(tau, 0.0))) / tau == pytest.approx(
-                anderson_velocity(), abs=1e-15
+                1.0 / math.sqrt(2.0), abs=1e-15
             )
 
     def test_ballistic_front_at_or_beyond_sigma_bound(self):
         p, tr = params(31.8, 0.0)
         s = np.arange(-40, 41)
+        # the peaks sit near |s| = t', beyond the spread rate 1/sqrt(2) per unit t'
         peak = abs(s[np.argmax(probability_profile(s, p, tr))])
-        assert peak / 31.8 >= anderson_velocity()
+        assert peak / 31.8 >= 1.0 / math.sqrt(2.0)

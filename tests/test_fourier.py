@@ -197,6 +197,45 @@ class TestImageBound:
         assert np.array_equal(window.elements, ring)
 
 
+class TestMasterEquation:
+    @pytest.mark.parametrize("tprime,r_d", [(3.0, 0.4), (6.0, 1.5), (2.0, 0.0), (10.0, 1.0)])
+    def test_ring_solves_the_lattice_master_equation(self, tprime, r_d):
+        """The ring's density matrix solves
+
+            d rho(s1, s2)/dt' = (i/2) [rho(s1+1, s2) + rho(s1-1, s2) - rho(s1, s2+1) - rho(s1, s2-1)]
+                              + (r_D/2) [rho(s1+1, s2+1) + rho(s1-1, s2-1) - 2 rho(s1, s2)]
+
+        with periodic indices, so on a block's interior the only error is
+        that of the time difference.  The central difference D(h) is
+        rho' + h^2 rho'''/6 + E(h), |E(h)| <= M h^4/120, where M bounds
+        the entries of the fifth derivative; the Richardson combination
+        (4 D(h/2) - D(h))/3 then misses rho' by at most M h^4/288.  The
+        right-hand side L has max-entry norm at most 2 + 2 r_D and every
+        entry of rho is at most 1, so M <= (2 + 2 r_D)^5.  Roundoff
+        delta ~ 1e-15 per element adds about 3 delta/h, within 1e-12.
+        Flipping the hopping term's sign leaves a residual of 1e-2 or more.
+        """
+        h = 1e-2
+        p_end = ModelParams(tprime + h, r_d)
+        half = half_width(p_end)
+        sites = np.arange(-half - 1, half + 2)
+        q = QuadratureSpec(ring_size(sites, p_end))
+
+        def rho(t):
+            return density_block_quadrature(sites, ModelParams(t, r_d), q)
+
+        def central(step):
+            return (rho(tprime + step) - rho(tprime - step)) / (2.0 * step)
+
+        drho = ((4.0 * central(0.5 * h) - central(h)) / 3.0)[1:-1, 1:-1]
+        r = rho(tprime)
+        hopping = 0.5j * (r[2:, 1:-1] + r[:-2, 1:-1] - r[1:-1, 2:] - r[1:-1, :-2])
+        dephasing = 0.5 * r_d * (r[2:, 2:] + r[:-2, :-2] - 2.0 * r[1:-1, 1:-1])
+        bound = (2.0 + 2.0 * r_d) ** 5 * h**4 / 288.0 + 1e-12
+        assert np.abs(drho - hopping - dephasing).max() <= bound
+        assert np.abs(drho + hopping - dephasing).max() > bound
+
+
 class TestMomentumDiagonal:
     def test_consistent_with_quadrature_propagator(self):
         # direct check that exp(F t) is 1 on the diagonal

@@ -6,7 +6,7 @@ from scipy.special import ive
 
 from dqwalk.core import ModelParams, probability_profile, purity, truncation_for
 from dqwalk.fourier import MASS_TOL, half_width, ring_window, tail_bound
-from dqwalk.spectral import entropy, entropy_small_dissipation
+from dqwalk.spectral import entropy
 from dqwalk.validate import ring_entropy
 
 
@@ -138,8 +138,10 @@ class TestAsymptotics:
         assert np.max(np.abs(vals[:20] - weights[:20])) < 1e-12
 
     def test_small_dissipation_law(self):
-        p = ModelParams(1.0, 0.01)
-        assert entropy_small_dissipation(p) == pytest.approx(-0.01 * math.log(0.01))
-        assert entropy_small_dissipation(ModelParams(0.0, 0.0)) == 0.0
-        with pytest.warns(UserWarning):
-            entropy_small_dissipation(ModelParams(10.0, 1.0))
+        # w_0 = 1 - x + O(x^2), w_{+/-1} = x/2 - x^2/2 + O(x^3) and
+        # w_{+/-2} = x^2/8 + O(x^3) give S = -x ln x + x (1 + ln 2)
+        # + (1/2) x^2 ln x + O(x^2): the gap to the first two terms is
+        # about half of x^2 |ln x| (0.59 of it at x = 1e-2)
+        for x in [1e-2, 1e-4, 1e-6]:
+            law = -x * math.log(x) + x * (1.0 + math.log(2.0))
+            assert abs(entropy(ModelParams(1.0, x)) - law) <= x * x * abs(math.log(x))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ive, jv
 
 from dqwalk.bessel import bessel_i_scaled_orders, bessel_j_orders
 from dqwalk.core import ModelParams, probability_profile, truncation_for
-from dqwalk.exceptions import BracketError, NumericalError, WindowTooSmallError
-from dqwalk.fourier import ring_window
+from dqwalk.exceptions import BracketError, WindowTooSmallError
+from dqwalk.fourier import half_width, ring_window, tail_bound
 from dqwalk.wigner import (
     critical_rd,
     k_grid,
@@ -14,11 +15,8 @@ from dqwalk.wigner import (
     momentum_marginal,
     position_marginal,
     total_mass,
-    wigner_convolution,
-    wigner_crw,
     wigner_from_density,
     wigner_grid,
-    wigner_qw,
     wigner_row,
     wigner_value,
 )
@@ -68,16 +66,28 @@ class TestPointValues:
             )
 
 
+def convolution_reference(s, k, tprime, x):
+    """W(s, k) as the site convolution of the coherent and classical limits,
+    sum_n J_{2(s-n)}(2 t' sin(k/2)) e^{-x} I_n(x) / 2pi, from ``scipy.special``."""
+    n = np.arange(-80, 81)
+    return float(np.sum(jv(2 * (s - n), 2.0 * tprime * math.sin(0.5 * k)) * ive(n, x))) / TWO_PI
+
+
 class TestLimits:
+    """The r_D = 0 grid is the coherent walk's J_{2s}(2 t' sin(k/2)) / 2pi
+    and the t' -> 0 grid at fixed x the classical walk's e^{-x} I_s(x) / 2pi,
+    both from ``scipy.special``, which shares no code with the Miller rows."""
+
     def test_qw_frozen_value(self):
-        assert wigner_qw(1, math.pi, 1.0) == pytest.approx(J2_2_OVER_2PI, abs=1e-14)
+        p, tr = setup(1.0, 0.0)
+        assert wigner_value(1, math.pi, p, tr) == pytest.approx(J2_2_OVER_2PI, abs=1e-14)
 
     @pytest.mark.parametrize("s", [0, 1, -2])
     @pytest.mark.parametrize("k", [0.0, 1.0, math.pi])
     def test_series_reduces_to_qw(self, s, k):
         p, tr = setup(2.5, 0.0)
         assert wigner_value(s, k, p, tr) == pytest.approx(
-            wigner_qw(s, k, 2.5), abs=1e-14
+            jv(2 * s, 5.0 * math.sin(0.5 * k)) / TWO_PI, abs=1e-14
         )
 
     @pytest.mark.parametrize("s", [0, 1, 4])
@@ -86,20 +96,21 @@ class TestLimits:
         eps, x = 1e-7, 1.5
         p, tr = setup(eps, x / eps)
         for k in [0.0, 0.9, math.pi]:
-            assert wigner_value(s, k, p, tr) == pytest.approx(
-                wigner_crw(s, x), abs=1e-10
-            )
+            assert wigner_value(s, k, p, tr) == pytest.approx(ive(s, x) / TWO_PI, abs=1e-10)
 
     def test_crw_nonnegative_and_k_free(self):
-        for s in range(-6, 7):
-            assert wigner_crw(s, 4.0) >= 0.0
+        eps, x = 1e-7, 4.0
+        p, tr = setup(eps, x / eps)
+        grid = wigner_grid(-6, 6, p, k_grid(9), tr)
+        assert np.all(grid.values >= 0.0)
+        assert np.max(np.abs(grid.values - ive(grid.sites, x)[:, None] / TWO_PI)) < 1e-10
 
 
 class TestConsistency:
     @pytest.mark.parametrize("s,k", [(0, math.pi), (3, 0.8), (-2, 2.0)])
     def test_convolution_identity(self, s, k):
         p, tr = setup(5.0, 0.5)
-        assert abs(wigner_value(s, k, p, tr) - wigner_convolution(s, k, p, tr)) < 1e-9
+        assert abs(wigner_value(s, k, p, tr) - convolution_reference(s, k, 5.0, p.x)) < 1e-9
 
     def test_matches_defining_sum_from_density(self):
         p, tr = setup(4.0, 0.8)
@@ -108,6 +119,26 @@ class TestConsistency:
             assert abs(
                 wigner_value(s, k, p, tr) - wigner_from_density(s, k, window)
             ) < 1e-10
+
+    def test_from_density_error_bounds(self):
+        # at (1, 0) the mass-complete window [-L, L], L = 7, misses W(+-3, k)
+        # by 3.5e-9, within sqrt(eps)/pi; on [-2L, 2L] every pair dropped at
+        # |s| <= L/2 has both sites outside [-L, L], so the miss is within
+        # eps/(2 pi).  Each bound adds the ring's image bound per summed term.
+        p = ModelParams(1.0, 0.0)
+        half = half_width(p)
+        eps = tail_bound(p, half)
+        for width, reach, bound in [
+            (half, half, math.sqrt(eps) / math.pi),
+            (2 * half, half // 2, eps / TWO_PI),
+        ]:
+            window = ring_window(p, width)
+            for s in range(-reach, reach + 1):
+                terms = 2 * (width - abs(s)) + 1
+                for k in np.linspace(-math.pi, math.pi, 17):
+                    exact = jv(2 * s, 2.0 * math.sin(0.5 * k)) / TWO_PI
+                    miss = abs(wigner_from_density(s, float(k), window) - exact)
+                    assert miss <= bound + terms * window.image_bound / TWO_PI + 1e-16
 
     def test_from_density_window_guard(self):
         p, tr = setup(1.0, 0.1)
